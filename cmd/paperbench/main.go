@@ -5,8 +5,8 @@
 // example, §7.1.1 ingestion) are evaluated at paper scale from the
 // performance model. Measured artifacts (Tables 6–10, Fig 7, Fig 11,
 // measured communication volumes) execute the real kernels on scaled-down
-// synthetic devices — see DESIGN.md §2 for the substitution rules and
-// EXPERIMENTS.md for paper-vs-reproduction numbers.
+// synthetic devices (internal/README.md maps each package to the paper
+// section it reproduces).
 //
 // Usage:
 //

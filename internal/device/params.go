@@ -12,7 +12,7 @@
 // kz/qz phases for the homogeneous z-direction, and an acoustic-sum-rule
 // dynamical matrix. All algorithmic behaviour studied in the paper depends
 // on these structural properties and the tensor shapes, not on chemistry,
-// which is what makes the substitution faithful (see DESIGN.md §2).
+// which is what makes the substitution faithful.
 package device
 
 import (

@@ -247,7 +247,7 @@ func (s *PointSolver) scatterPiRetarded(a *blocktri.Matrix, iq, m int) {
 // scatterPiInjections adds the Π≷_S blocks into the block-diagonal RGF
 // injections. Same-slab neighbour blocks are included; the few cross-slab
 // injection blocks are outside the block-diagonal form the lesser
-// recursion consumes and are dropped (see DESIGN.md §5).
+// recursion consumes and are dropped.
 func (s *PointSolver) scatterPiInjections(sigL, sigG []*linalg.Matrix, iq, m int) {
 	p := s.Dev.P
 	rows := p.AtomsPerSlab()

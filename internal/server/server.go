@@ -82,6 +82,11 @@ type job struct {
 	// registry record only carries scalars.
 	result *qt.Result
 
+	// recorded is closed once submit has stored the queued record: a
+	// worker can dequeue the job before that, and must not read the
+	// registry (or have its later status overwritten by "queued") first.
+	recorded chan struct{}
+
 	done     chan struct{}
 	doneOnce sync.Once
 }
@@ -307,6 +312,7 @@ func (s *Server) submit(tenant string, priority int, rc qt.RunConfig, studyID st
 		cfg: resolved, key: key, warmKey: warmKey,
 		submitted: time.Now(),
 		subs:      map[chan qt.IterStats]bool{},
+		recorded:  make(chan struct{}),
 		done:      make(chan struct{}),
 	}
 	j.ctx, j.cancel = context.WithCancel(s.ctx)
@@ -329,7 +335,9 @@ func (s *Server) submit(tenant string, priority int, rc qt.RunConfig, studyID st
 		Key: key, WarmKey: warmKey, Config: resolved,
 		Status: StatusQueued, Submitted: now, Study: studyID,
 	}
-	if err := s.reg.Put(rec); err != nil {
+	err = s.reg.Put(rec)
+	close(j.recorded)
+	if err != nil {
 		return Record{}, nil, err
 	}
 	return rec, j, nil
@@ -388,6 +396,7 @@ func (s *Server) execute(j *job) {
 	s.met.slotsBusy.Add(1)
 	defer s.met.slotsBusy.Add(-1)
 
+	<-j.recorded
 	rec, ok := s.reg.Get(j.id)
 	if !ok {
 		return
@@ -468,12 +477,14 @@ func (s *Server) execute(j *job) {
 		rec.Status = StatusFailed
 		rec.Error = err.Error()
 	}
-	s.reg.Put(rec)
+	// Store the trace before the final record: a client that sees the
+	// run finished must find its trace.
 	if res != nil && res.Spans != nil {
 		if err := s.reg.PutTrace(j.id, res.Spans); err != nil {
 			s.log.Warn("trace store failed", "run", j.id, "err", err)
 		}
 	}
+	s.reg.Put(rec)
 	s.met.observeRun(j.tenant, rec.Status, wall.Seconds(), res)
 	s.log.Info("finished", "run", j.id, "tenant", j.tenant,
 		"status", string(rec.Status), "converged", rec.Converged,

@@ -16,6 +16,19 @@ import (
 // fewer matrix multiplications; the surviving work is scalar AXPY streams,
 // which is why SSE lands in the memory-bound region of the roofline
 // (Fig. 10).
+//
+// Every inner stage is one pass over a contiguous [NE][Norb²] energy run
+// rather than one call per Norb×Norb block: stage ❶ is a fixed-A product
+// loop over the run, stage ❷ loads each transient element once and feeds
+// all three V_j accumulators, and the Π stage reads the three X_i and
+// three Y_j blocks once per energy to build the full 3×3 Gram matrix of
+// traces. The passes deliver every term to every destination in the
+// block-at-a-time order (V_j by direction i, the E−ω term before the E+ω
+// term, zero-weight direction pairs skipped; each Π sum in ascending
+// (kz, E) order, each trace in (r, c) order), so the output is
+// bit-for-bit that of the block-at-a-time schedule wherever Go does not
+// fuse x*y+z into one rounding (amd64 does not).
+//
 // Atoms optionally restricts the kernel to a subset of atoms (nil = all):
 // Σ≷_aa and the Π≷_a* blocks are produced only for listed atoms. ELo/EHi
 // restrict the electron energy range [ELo, EHi) owned by this instance
@@ -64,32 +77,26 @@ type restriction struct {
 type transient struct {
 	data    []complex128
 	nkz, ne int
-	bl      int
+	n, bl   int // Norb and Norb²
 }
 
-func newTransient(nkz, ne, bl int) *transient {
-	return &transient{data: make([]complex128, 3*nkz*ne*bl), nkz: nkz, ne: ne, bl: bl}
-}
-
-func (t *transient) block(i, ik, ie int) []complex128 {
-	o := ((i*t.nkz+ik)*t.ne + ie) * t.bl
-	return t.data[o : o+t.bl]
+func newTransient(nkz, ne, norb int) *transient {
+	bl := norb * norb
+	return &transient{data: make([]complex128, 3*nkz*ne*bl), nkz: nkz, ne: ne, n: norb, bl: bl}
 }
 
 // eRow returns the contiguous [NE][Norb²] row for (direction, momentum) —
-// the strided batch the SBSMM operates on.
+// the energy run every stage makes its single pass over.
 func (t *transient) eRow(i, ik int) []complex128 {
 	o := (i*t.nkz + ik) * t.ne * t.bl
 	return t.data[o : o+t.ne*t.bl]
 }
 
-// quantizer optionally maps tensors into emulated fp16 before use; nil
-// means full double precision. It is how the Mixed kernel reuses the DaCe
-// schedule.
+// quantizer optionally maps the coupling matrices into emulated fp16
+// before use; nil means full double precision. It is how the Mixed kernel
+// reuses the DaCe schedule (the Green's functions arrive pre-quantized).
 type quantizer struct {
-	gradH   func(a, b, i int) *linalg.Matrix
-	gBlock  func(lesser bool, ik, ie, a int) []complex128
-	weights func(wl, wg *[9]complex128)
+	gradH func(a, b, i int) *linalg.Matrix
 	// denorm rescales the final accumulations (inverse normalization).
 	denormSigma complex128
 	denormPi    complex128
@@ -105,22 +112,16 @@ func daceCompute(in *Input, q *quantizer, restr *restriction) *Output {
 	bl := norb * norb
 	nw := p.Nomega
 	nkz, ne := p.Nkz, p.NE
+	elo, ehi := restr.elo, restr.ehi
+	eCount := ehi - elo
+	gStride := in.GL.Na * bl // distance between energies in G≷ and Σ≷
 	prefS := prefSigma(p)
 	prefP := prefPi(p)
+	gradH := in.Dev.GradH
 	if q != nil {
 		prefS *= q.denormSigma
 		prefP *= q.denormPi
-	}
-	gradH := in.Dev.GradH
-	gBlock := func(lesser bool, ik, ie, a int) []complex128 {
-		if lesser {
-			return in.GL.Block(ik, ie, a)
-		}
-		return in.GG.Block(ik, ie, a)
-	}
-	if q != nil {
 		gradH = q.gradH
-		gBlock = q.gBlock
 	}
 
 	var matmuls, scalarOps atomic.Int64
@@ -130,80 +131,49 @@ func daceCompute(in *Input, q *quantizer, restr *restriction) *Output {
 		var wl, wg [9]complex128
 		var localMuls, localScalar int64
 		// Per-pair transients and accumulators, reused across neighbours.
-		pLab := newTransient(nkz, ne, bl) // ∇iH_ab·G<_bb
-		pGab := newTransient(nkz, ne, bl) // ∇iH_ab·G>_bb
-		pLba := newTransient(nkz, ne, bl) // ∇iH_ba·G<_aa
-		pGba := newTransient(nkz, ne, bl) // ∇iH_ba·G>_aa
-		vL := newTransient(nkz, ne, bl)   // Σ-stage accumulators, per j
-		vG := newTransient(nkz, ne, bl)
+		pLab := newTransient(nkz, ne, norb) // ∇iH_ab·G<_bb
+		pGab := newTransient(nkz, ne, norb) // ∇iH_ab·G>_bb
+		pLba := newTransient(nkz, ne, norb) // ∇iH_ba·G<_aa
+		pGba := newTransient(nkz, ne, norb) // ∇iH_ba·G>_aa
+		vL := newTransient(nkz, ne, norb)   // Σ-stage accumulators, per j
+		vG := newTransient(nkz, ne, norb)
 		cBuf := make([]complex128, ne*bl) // SBSMM output row
-		// Loop-hoisted operand/destination headers, rebound to each block's
-		// backing slice: the innermost (i, kz, E) iteration used to allocate
-		// four fresh FromSlice headers per neighbour per point, pure GC churn
-		// around zero-copy views.
-		gm := &linalg.Matrix{Rows: norb, Cols: norb}
-		pm := &linalg.Matrix{Rows: norb, Cols: norb}
+		ab := make([]complex128, bl)      // 1·∇iH_ab, the fixed stage-❶ operands
+		ba := make([]complex128, bl)      // 1·∇iH_ba
 
 		for slotAB, b := range in.Dev.Neigh[a] {
 			slotBA := in.Dev.NeighbourSlot(b, a)
 
-			// ── Stage ❶: map fission — materialize the ∇H·G transients.
+			// ── Stage ❶: map fission — materialize the ∇H·G transients,
+			// one fixed-A product pass per (i, kz) energy run.
 			for i := 0; i < 3; i++ {
-				gab := gradH(a, b, i)
-				gba := gradH(b, a, i)
+				scaleOne(ab, gradH(a, b, i).Data)
+				scaleOne(ba, gradH(b, a, i).Data)
 				for ik := 0; ik < nkz; ik++ {
-					for ie := 0; ie < ne; ie++ {
-						gm.Data = gBlock(true, ik, ie, b)
-						pm.Data = pLab.block(i, ik, ie)
-						linalg.GEMM(1, gab, linalg.NoTrans, gm, linalg.NoTrans, 0, pm)
-						gm.Data = gBlock(false, ik, ie, b)
-						pm.Data = pGab.block(i, ik, ie)
-						linalg.GEMM(1, gab, linalg.NoTrans, gm, linalg.NoTrans, 0, pm)
-						gm.Data = gBlock(true, ik, ie, a)
-						pm.Data = pLba.block(i, ik, ie)
-						linalg.GEMM(1, gba, linalg.NoTrans, gm, linalg.NoTrans, 0, pm)
-						gm.Data = gBlock(false, ik, ie, a)
-						pm.Data = pGba.block(i, ik, ie)
-						linalg.GEMM(1, gba, linalg.NoTrans, gm, linalg.NoTrans, 0, pm)
-						localMuls += 4
-					}
+					gb := in.GL.Index(ik, 0, b)
+					ga := in.GL.Index(ik, 0, a)
+					fixedARun(pLab.eRow(i, ik), ab, in.GL.Data[gb:], gStride, norb, ne)
+					fixedARun(pGab.eRow(i, ik), ab, in.GG.Data[gb:], gStride, norb, ne)
+					fixedARun(pLba.eRow(i, ik), ba, in.GL.Data[ga:], gStride, norb, ne)
+					fixedARun(pGba.eRow(i, ik), ba, in.GG.Data[ga:], gStride, norb, ne)
 				}
 			}
+			localMuls += int64(4 * 3 * nkz * ne)
 
 			// ── Stage ❷: ω-stencil accumulation with the energy axis
 			// contiguous. V_j(kz,E) gathers every (qz, ω, i) contribution
-			// as scalar AXPYs; the matrix multiplications by ∇jH_ba are
-			// deferred to stage ❸.
+			// as scalar AXPYs, one pass per (qz, ω, kz) energy run; the
+			// matrix multiplications by ∇jH_ba are deferred to stage ❸.
 			zero(vL.data)
 			zero(vG.data)
 			for iq := 0; iq < nkz; iq++ {
 				for m := 1; m <= nw; m++ {
 					dTilde(in.DL, in.DG, iq, m-1, a, b, slotAB, slotBA, &wl, &wg)
-					if q != nil {
-						q.weights(&wl, &wg)
-					}
 					for ik := 0; ik < nkz; ik++ {
 						ikq := ((ik-iq)%nkz + nkz) % nkz
-						for i := 0; i < 3; i++ {
-							for j := 0; j < 3; j++ {
-								wle, wge := wl[i*3+j], wg[i*3+j]
-								if wle == 0 && wge == 0 {
-									continue
-								}
-								for ie := 0; ie < ne; ie++ {
-									vLrow := vL.block(j, ik, ie)
-									vGrow := vG.block(j, ik, ie)
-									if ie-m >= 0 {
-										axpyRow(vLrow, wle, pLab.block(i, ikq, ie-m))
-										axpyRow(vGrow, wge, pGab.block(i, ikq, ie-m))
-									}
-									if ie+m < ne {
-										axpyRow(vLrow, wge, pLab.block(i, ikq, ie+m))
-										axpyRow(vGrow, wle, pGab.block(i, ikq, ie+m))
-									}
-								}
-							}
-						}
+						// Σ<: G<(E−ω)·D̃< + G<(E+ω)·D̃>; Σ> swaps the weights.
+						stencilPass(vL, pLab, ik, ikq, m, &wl, &wg)
+						stencilPass(vG, pGab, ik, ikq, m, &wg, &wl)
 					}
 				}
 			}
@@ -212,54 +182,45 @@ func daceCompute(in *Input, q *quantizer, restr *restriction) *Output {
 			// ── Stage ❸: strided-batched SBSMM with fixed right operand
 			// ∇jH_ba over the contiguous energy batch, then fused
 			// scatter-accumulate into Σ≷ (stage ❹).
-			eCount := restr.ehi - restr.elo
-			for j := 0; j < 3; j++ {
+			c := cBuf[:eCount*bl]
+			for j := 0; j < 3 && eCount > 0; j++ {
 				gjh := gradH(b, a, j)
 				for ik := 0; ik < nkz; ik++ {
-					zero(cBuf[:eCount*bl])
-					batch.SBSMMFixedB(cBuf[:eCount*bl], vL.eRow(j, ik)[restr.elo*bl:restr.ehi*bl], gjh.Data, norb, eCount)
-					localMuls += int64(eCount)
-					for ie := restr.elo; ie < restr.ehi; ie++ {
-						axpyRow(out.SigL.Block(ik, ie, a), prefS, cBuf[(ie-restr.elo)*bl:(ie-restr.elo+1)*bl])
-					}
-					zero(cBuf[:eCount*bl])
-					batch.SBSMMFixedB(cBuf[:eCount*bl], vG.eRow(j, ik)[restr.elo*bl:restr.ehi*bl], gjh.Data, norb, eCount)
-					localMuls += int64(eCount)
-					for ie := restr.elo; ie < restr.ehi; ie++ {
-						axpyRow(out.SigG.Block(ik, ie, a), prefS, cBuf[(ie-restr.elo)*bl:(ie-restr.elo+1)*bl])
-					}
+					sig := out.SigL.Index(ik, elo, a)
+					zero(c)
+					batch.SBSMMFixedB(c, vL.eRow(j, ik)[elo*bl:ehi*bl], gjh.Data, norb, eCount)
+					scatterRun(out.SigL.Data[sig:], prefS, c, gStride, bl)
+					zero(c)
+					batch.SBSMMFixedB(c, vG.eRow(j, ik)[elo*bl:ehi*bl], gjh.Data, norb, eCount)
+					scatterRun(out.SigG.Data[sig:], prefS, c, gStride, bl)
+					localMuls += int64(2 * eCount)
 				}
 			}
 
 			// ── Π≷ via the same transients: trace contractions replace
 			// the OMEN matmul+trace, and the (a,b) kernel feeds both the
-			// neighbour block and the diagonal l-sum of Eq. (3).
+			// neighbour block and the diagonal l-sum of Eq. (3). One Gram
+			// pass per (qz, ω, kz) over the owned energy run builds all
+			// nine S_ij = Σ tr[(∇iH_ba·G≷_aa(E+ω))·(∇jH_ab·G≶_bb(E))].
 			for iq := 0; iq < nkz; iq++ {
 				for m := 1; m <= nw; m++ {
+					var sL, sG [9]complex128
+					if run := min(ehi, ne-m) - elo; run > 0 {
+						for ik := 0; ik < nkz; ik++ {
+							ikpq := (ik + iq) % nkz
+							gramRun(&sL, pLba, ikpq, elo+m, pGab, ik, elo, run)
+							gramRun(&sG, pGba, ikpq, elo+m, pLab, ik, elo, run)
+						}
+					}
 					piLd := out.PiL.Block(iq, m-1, a, 0)
 					piGd := out.PiG.Block(iq, m-1, a, 0)
 					piLn := out.PiL.Block(iq, m-1, a, 1+slotAB)
 					piGn := out.PiG.Block(iq, m-1, a, 1+slotAB)
-					for i := 0; i < 3; i++ {
-						for j := 0; j < 3; j++ {
-							var sumL, sumG complex128
-							for ik := 0; ik < nkz; ik++ {
-								ikpq := (ik + iq) % nkz
-								eMax := restr.ehi
-								if ne-m < eMax {
-									eMax = ne - m
-								}
-								for ie := restr.elo; ie < eMax; ie++ {
-									// tr[(∇iH_ba·G≷_aa(E+ω))·(∇jH_ab·G≶_bb(E))]
-									sumL += traceDot(pLba.block(i, ikpq, ie+m), pGab.block(j, ik, ie), norb)
-									sumG += traceDot(pGba.block(i, ikpq, ie+m), pLab.block(j, ik, ie), norb)
-								}
-							}
-							piLd[i*3+j] += prefP * sumL
-							piGd[i*3+j] += prefP * sumG
-							piLn[i*3+j] += prefP * sumL
-							piGn[i*3+j] += prefP * sumG
-						}
+					for e := range sL {
+						piLd[e] += prefP * sL[e]
+						piGd[e] += prefP * sG[e]
+						piLn[e] += prefP * sL[e]
+						piGn[e] += prefP * sG[e]
 					}
 				}
 			}
@@ -280,16 +241,226 @@ func daceCompute(in *Input, q *quantizer, restr *restriction) *Output {
 	return out
 }
 
-// traceDot computes tr(X·Y) for row-major n×n blocks.
-func traceDot(x, y []complex128, n int) complex128 {
-	var t complex128
-	for r := 0; r < n; r++ {
-		xr := x[r*n : (r+1)*n]
-		for s, xv := range xr {
-			t += xv * y[s*n+r]
+// scaleOne sets dst = 1·src with a full complex multiplication — the
+// alpha-scaled operand a GEMM with alpha = 1 forms. It can differ from a
+// plain copy in the sign of a zero component, which the bitwise contract
+// keeps.
+func scaleOne(dst, src []complex128) {
+	one := complex(1, 0)
+	for e, v := range src {
+		dst[e] = one * v
+	}
+}
+
+// fixedARun writes dst[t] = A·src[t] for count n×n blocks: the source
+// blocks sit stride elements apart (one energy run of a G≷ tensor), the
+// destination blocks are contiguous. a holds 1·A (see scaleOne). Each
+// element is 0 + Σ_p a_rp·b_pc summed in ascending p, the order of the
+// unpacked reference GEMM.
+func fixedARun(dst, a, src []complex128, stride, n, count int) {
+	bl := n * n
+	if n == 2 {
+		a00, a01, a10, a11 := a[0], a[1], a[2], a[3]
+		var z complex128
+		for t := 0; t < count; t++ {
+			s := src[t*stride : t*stride+4 : t*stride+4]
+			d := dst[t*4 : t*4+4 : t*4+4]
+			b00, b01, b10, b11 := s[0], s[1], s[2], s[3]
+			d[0] = z + a00*b00 + a01*b10
+			d[1] = z + a00*b01 + a01*b11
+			d[2] = z + a10*b00 + a11*b10
+			d[3] = z + a10*b01 + a11*b11
+		}
+		return
+	}
+	for t := 0; t < count; t++ {
+		s := src[t*stride : t*stride+bl]
+		d := dst[t*bl : (t+1)*bl]
+		for r := 0; r < n; r++ {
+			ar := a[r*n : (r+1)*n]
+			for c := 0; c < n; c++ {
+				var acc complex128
+				for p, av := range ar {
+					acc += av * s[p*n+c]
+				}
+				d[r*n+c] = acc
+			}
 		}
 	}
-	return t
+}
+
+// stencilPass adds one (qz, ω) stencil step to the three V_j(kz) energy
+// runs: V_j(E) += Σ_i wm_ij·P_i(E−ω) + wp_ij·P_i(E+ω), with P_i the
+// (i, kz−qz) run of p and terms leaving the grid dropped. Each V_j element
+// receives its terms by direction i, the E−ω term before the E+ω term;
+// direction pairs whose two weights are both zero are skipped.
+func stencilPass(v, p *transient, ik, ikq, m int, wm, wp *[9]complex128) {
+	bl, ne := v.bl, v.ne
+	if ne <= m {
+		return
+	}
+	v0, v1, v2 := v.eRow(0, ik), v.eRow(1, ik), v.eRow(2, ik)
+	p0, p1, p2 := p.eRow(0, ikq), p.eRow(1, ikq), p.eRow(2, ikq)
+	sparse := false
+	for e := range wm {
+		sparse = sparse || wm[e] == 0 && wp[e] == 0
+	}
+	if sparse {
+		// A skipped pair must not add 0·P (that can flip a zero's sign or
+		// turn Inf into NaN), so sparse weights take one E−ω and one E+ω
+		// AXPY pass per active pair, in (i, j) order.
+		vs := [3][]complex128{v0, v1, v2}
+		ps := [3][]complex128{p0, p1, p2}
+		s := m * bl
+		for i, pi := range ps {
+			for j, vj := range vs {
+				if wm[i*3+j] == 0 && wp[i*3+j] == 0 {
+					continue
+				}
+				axpyRow(vj[s:], wm[i*3+j], pi[:len(pi)-s])
+				axpyRow(vj[:len(vj)-s], wp[i*3+j], pi[s:])
+			}
+		}
+		return
+	}
+	// Energies [0, min(ω, NE−ω)) have only the E+ω term, [ω, NE−ω) both
+	// terms, [max(ω, NE−ω), NE) only the E−ω term.
+	if hi := min(m, ne-m) * bl; hi > 0 {
+		s := m * bl
+		stencilOne(v0[:hi], v1[:hi], v2[:hi], p0[s:s+hi], p1[s:s+hi], p2[s:s+hi], wp)
+	}
+	if lo, hi := m*bl, (ne-m)*bl; hi > lo {
+		n, s := hi-lo, 2*m*bl
+		stencilBoth(v0[lo:hi], v1[lo:hi], v2[lo:hi], p0[:n], p1[:n], p2[:n], p0[s:s+n], p1[s:s+n], p2[s:s+n], wm, wp)
+	}
+	if lo, hi := max(m, ne-m)*bl, ne*bl; hi > lo {
+		s := m * bl
+		stencilOne(v0[lo:hi], v1[lo:hi], v2[lo:hi], p0[lo-s:hi-s], p1[lo-s:hi-s], p2[lo-s:hi-s], wm)
+	}
+}
+
+// stencilBoth is the two-sided stencil body: V_j[x] += wm_ij·m_i[x] then
+// wp_ij·p_i[x] for i = 0, 1, 2. The V_j stay in registers across the
+// six terms of each direction and are stored once per element.
+func stencilBoth(v0, v1, v2, m0, m1, m2, p0, p1, p2 []complex128, wm, wp *[9]complex128) {
+	n := len(v0)
+	v1, v2 = v1[:n], v2[:n]
+	m0, m1, m2 = m0[:n], m1[:n], m2[:n]
+	p0, p1, p2 = p0[:n], p1[:n], p2[:n]
+	for x := range v0 {
+		a, b, c := v0[x], v1[x], v2[x]
+		lm, lp := m0[x], p0[x]
+		a += wm[0] * lm
+		a += wp[0] * lp
+		b += wm[1] * lm
+		b += wp[1] * lp
+		c += wm[2] * lm
+		c += wp[2] * lp
+		lm, lp = m1[x], p1[x]
+		a += wm[3] * lm
+		a += wp[3] * lp
+		b += wm[4] * lm
+		b += wp[4] * lp
+		c += wm[5] * lm
+		c += wp[5] * lp
+		lm, lp = m2[x], p2[x]
+		a += wm[6] * lm
+		a += wp[6] * lp
+		b += wm[7] * lm
+		b += wp[7] * lp
+		c += wm[8] * lm
+		c += wp[8] * lp
+		v0[x], v1[x], v2[x] = a, b, c
+	}
+}
+
+// stencilOne is the one-sided stencil body at the grid edges:
+// V_j[x] += w_ij·q_i[x] for i = 0, 1, 2.
+func stencilOne(v0, v1, v2, q0, q1, q2 []complex128, w *[9]complex128) {
+	n := len(v0)
+	v1, v2 = v1[:n], v2[:n]
+	q0, q1, q2 = q0[:n], q1[:n], q2[:n]
+	for x := range v0 {
+		a, b, c := v0[x], v1[x], v2[x]
+		l := q0[x]
+		a += w[0] * l
+		b += w[1] * l
+		c += w[2] * l
+		l = q1[x]
+		a += w[3] * l
+		b += w[4] * l
+		c += w[5] * l
+		l = q2[x]
+		a += w[6] * l
+		b += w[7] * l
+		c += w[8] * l
+		v0[x], v1[x], v2[x] = a, b, c
+	}
+}
+
+// gramRun adds the traces S_ij += tr(X_i(E+ω)·Y_j(E)) for count energies
+// of the runs X_i = x(i, ikx) from energy ex and Y_j = y(j, iky) from
+// energy ey: one pass that reads each block once per energy. Every trace
+// starts at zero and sums in (r, c) order before it joins S_ij, and the
+// energies join in ascending order.
+func gramRun(s *[9]complex128, x *transient, ikx, ex int, y *transient, iky, ey, count int) {
+	n, bl := x.n, x.bl
+	span := count * bl
+	xo, yo := ex*bl, ey*bl
+	var xs, ys [3][]complex128
+	for i := range xs {
+		xs[i] = x.eRow(i, ikx)[xo : xo+span]
+		ys[i] = y.eRow(i, iky)[yo : yo+span]
+	}
+	var z complex128
+	if n == 2 {
+		for o := 0; o < span; o += 4 {
+			y0, y1, y2 := ys[0][o:o+4:o+4], ys[1][o:o+4:o+4], ys[2][o:o+4:o+4]
+			for i, xi := range xs {
+				xb := xi[o : o+4 : o+4]
+				// Three independent trace chains, one per j.
+				t0 := z + xb[0]*y0[0]
+				t1 := z + xb[0]*y1[0]
+				t2 := z + xb[0]*y2[0]
+				t0 += xb[1] * y0[2]
+				t1 += xb[1] * y1[2]
+				t2 += xb[1] * y2[2]
+				t0 += xb[2] * y0[1]
+				t1 += xb[2] * y1[1]
+				t2 += xb[2] * y2[1]
+				t0 += xb[3] * y0[3]
+				t1 += xb[3] * y1[3]
+				t2 += xb[3] * y2[3]
+				s[i*3] += t0
+				s[i*3+1] += t1
+				s[i*3+2] += t2
+			}
+		}
+		return
+	}
+	for o := 0; o < span; o += bl {
+		for i, xi := range xs {
+			xb := xi[o : o+bl]
+			for j, yj := range ys {
+				yb := yj[o : o+bl]
+				t := z
+				for r := 0; r < n; r++ {
+					for c, xv := range xb[r*n : (r+1)*n] {
+						t += xv * yb[c*n+r]
+					}
+				}
+				s[i*3+j] += t
+			}
+		}
+	}
+}
+
+// scatterRun adds s·c into count consecutive-energy Σ≷ blocks of one
+// (kz, atom): the blocks of c are contiguous, those of dst stride apart.
+func scatterRun(dst []complex128, s complex128, c []complex128, stride, bl int) {
+	for t := 0; t*bl < len(c); t++ {
+		axpyRow(dst[t*stride:t*stride+bl], s, c[t*bl:(t+1)*bl])
+	}
 }
 
 func axpyRow(dst []complex128, s complex128, src []complex128) {

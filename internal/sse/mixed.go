@@ -77,13 +77,6 @@ func (m Mixed) Compute(in *Input) *Output {
 
 	q := &quantizer{
 		gradH: func(a, b, i int) *linalg.Matrix { return qGrad[pd{a, b, i}] },
-		gBlock: func(lesser bool, ik, ie, a int) []complex128 {
-			if lesser {
-				return qIn.GL.Block(ik, ie, a)
-			}
-			return qIn.GG.Block(ik, ie, a)
-		},
-		weights: func(wl, wg *[9]complex128) {}, // D̃ built from quantized D already
 		// Σ carries ∇H·G·∇H·D̃ → sH²·sG·sD; Π carries ∇H·G·∇H·G → sH²·sG².
 		denormSigma: complex(1/(sH*sH*sG*sD), 0),
 		denormPi:    complex(1/(sH*sH*sG*sG), 0),

@@ -17,6 +17,12 @@ func synthInput(t testing.TB, scale float64) *Input {
 	p := device.TestParams(12, 3, 2)
 	p.NE = 10
 	p.Nomega = 3
+	return synthInputFor(t, p, scale)
+}
+
+// synthInputFor is synthInput on an arbitrary device shape.
+func synthInputFor(t testing.TB, p device.Params, scale float64) *Input {
+	t.Helper()
 	dev, err := device.Build(p)
 	if err != nil {
 		t.Fatal(err)
@@ -133,17 +139,29 @@ func TestSSEDeterministic(t *testing.T) {
 	}
 }
 
+type namedTensor struct {
+	name string
+	data []complex128
+}
+
+// tensorsOf lists an output's four tensors with their names.
+func tensorsOf(o *Output) []namedTensor {
+	return []namedTensor{{"Σ<", o.SigL.Data}, {"Σ>", o.SigG.Data}, {"Π<", o.PiL.Data}, {"Π>", o.PiG.Data}}
+}
+
 func TestSequentialMatchesParallel(t *testing.T) {
 	in := synthInput(t, 1)
-	par := DaCe{}.Compute(in)
-	old := SetWorkers(1)
-	seq := DaCe{}.Compute(in)
-	SetWorkers(old)
-	if abs, _ := maxTensorDiff(par.SigL.Data, seq.SigL.Data); abs != 0 {
-		t.Fatal("parallel and sequential SSE differ")
-	}
-	if abs, _ := maxTensorDiff(par.PiG.Data, seq.PiG.Data); abs != 0 {
-		t.Fatal("parallel and sequential Π differ")
+	for _, k := range []Kernel{DaCe{}, Mixed{Normalize: true}} {
+		par := k.Compute(in)
+		old := SetWorkers(1)
+		seq := k.Compute(in)
+		SetWorkers(old)
+		want := tensorsOf(seq)
+		for i, got := range tensorsOf(par) {
+			if abs, _ := maxTensorDiff(got.data, want[i].data); abs != 0 {
+				t.Errorf("%s: parallel and sequential %s differ by %g", k.Name(), got.name, abs)
+			}
+		}
 	}
 }
 
@@ -303,32 +321,33 @@ func TestRestrictedDaCePartitionsSum(t *testing.T) {
 	// The tile restriction must partition the work exactly: summing the
 	// outputs of disjoint (atoms × energies) tiles reproduces the full
 	// kernel output — the invariant the distributed decomposition needs.
+	// The energy cuts put EHi=8 within Nω=3 of NE=10 and leave the last
+	// tile [8, 10) with an empty Π run for ω ≥ 2 (min(EHi, NE−ω) ≤ ELo).
 	in := synthInput(t, 1)
 	full := DaCe{}.Compute(in)
 	na, ne := in.GL.Na, in.GL.NE
-	sumL := make([]complex128, len(full.SigL.Data))
-	sumPi := make([]complex128, len(full.PiL.Data))
-	for _, tile := range [][4]int{
-		{0, na / 2, 0, ne / 2}, {0, na / 2, ne / 2, ne},
-		{na / 2, na, 0, ne / 2}, {na / 2, na, ne / 2, ne},
-	} {
-		atoms := make([]int, 0)
-		for a := tile[0]; a < tile[1]; a++ {
-			atoms = append(atoms, a)
-		}
-		out := DaCe{Atoms: atoms, ELo: tile[2], EHi: tile[3]}.Compute(in)
-		for i, v := range out.SigL.Data {
-			sumL[i] += v
-		}
-		for i, v := range out.PiL.Data {
-			sumPi[i] += v
+	sums := tensorsOf(newOutput(in))
+	aCuts := []int{0, na / 2, na}
+	eCuts := []int{0, 4, 8, ne}
+	for ai := 0; ai+1 < len(aCuts); ai++ {
+		for ei := 0; ei+1 < len(eCuts); ei++ {
+			atoms := make([]int, 0)
+			for a := aCuts[ai]; a < aCuts[ai+1]; a++ {
+				atoms = append(atoms, a)
+			}
+			out := DaCe{Atoms: atoms, ELo: eCuts[ei], EHi: eCuts[ei+1]}.Compute(in)
+			for i, tn := range tensorsOf(out) {
+				for e, v := range tn.data {
+					sums[i].data[e] += v
+				}
+			}
 		}
 	}
-	if abs, _ := maxTensorDiff(sumL, full.SigL.Data); abs > 1e-10 {
-		t.Fatalf("tile sum does not reproduce Σ<: %g", abs)
-	}
-	if abs, _ := maxTensorDiff(sumPi, full.PiL.Data); abs > 1e-10 {
-		t.Fatalf("tile sum does not reproduce Π<: %g", abs)
+	want := tensorsOf(full)
+	for i, got := range sums {
+		if abs, _ := maxTensorDiff(got.data, want[i].data); abs > 1e-10 {
+			t.Errorf("tile sum does not reproduce %s: %g", got.name, abs)
+		}
 	}
 }
 
@@ -353,5 +372,22 @@ func TestMaskedOMENPartitionsSum(t *testing.T) {
 	}
 	if abs, _ := maxTensorDiff(sumPi, full.PiG.Data); abs > 1e-10 {
 		t.Fatalf("mask partition does not reproduce Π>: %g", abs)
+	}
+}
+
+func TestDaCeAllocationsIndependentOfNE(t *testing.T) {
+	// Only per-atom scratch and the outputs may be allocated: no per-block
+	// slice, header or array may escape, so the count is flat in NE.
+	old := SetWorkers(1)
+	defer SetWorkers(old)
+	allocsAt := func(ne int) float64 {
+		p := device.TestParams(12, 3, 2)
+		p.NE = ne
+		p.Nomega = 3
+		in := synthInputFor(t, p, 1)
+		return testing.AllocsPerRun(10, func() { DaCe{}.Compute(in) })
+	}
+	if a10, a20 := allocsAt(10), allocsAt(20); a10 != a20 {
+		t.Fatalf("DaCe allocations grow with NE: %v at NE=10, %v at NE=20", a10, a20)
 	}
 }
