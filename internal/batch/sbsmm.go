@@ -49,7 +49,8 @@ func SBSMMSeq(c, a, b []complex128, n, count int) {
 	}
 }
 
-// mulAddSmall computes C += A·B for n×n row-major matrices, ikj order.
+// mulAddSmall computes C += A·B for n×n row-major matrices, ikj order:
+// each nonzero a_ik adds a_ik·B_k to C_i through the shared packed AXPY.
 func mulAddSmall(c, a, b []complex128, n int) {
 	for i := 0; i < n; i++ {
 		crow := c[i*n : (i+1)*n : (i+1)*n]
@@ -58,10 +59,7 @@ func mulAddSmall(c, a, b []complex128, n int) {
 			if av == 0 {
 				continue
 			}
-			brow := b[k*n : (k+1)*n : (k+1)*n]
-			for j, bv := range brow {
-				crow[j] += av * bv
-			}
+			linalg.VecAXPY(crow, av, b[k*n:(k+1)*n:(k+1)*n])
 		}
 	}
 }

@@ -292,3 +292,61 @@ func TestSBSMMFixedBValidation(t *testing.T) {
 	}()
 	SBSMMFixedB(make([]complex128, 4), make([]complex128, 4), make([]complex128, 1), 2, 1)
 }
+
+// TestMulAddSmallMatchesScalar pins mulAddSmall, whose rows go through
+// the packed linalg.VecAXPY, bit for bit against the scalar ikj loop, with zero a_ik entries (skipped), signed zeros,
+// subnormals and huge/tiny magnitudes.
+func TestMulAddSmallMatchesScalar(t *testing.T) {
+	if !linalg.HaveAVX2() {
+		t.Skip("no AVX2 on this CPU: VecAXPY runs its scalar loop")
+	}
+	hard := func(rng *rand.Rand) float64 {
+		switch rng.Intn(8) {
+		case 0:
+			return 0
+		case 1:
+			return math.Copysign(0, -1)
+		case 2:
+			return math.Float64frombits(uint64(rng.Int63n(1 << 52)))
+		case 3:
+			return (rng.Float64() + 0.5) * 1e300
+		case 4:
+			return -(rng.Float64() + 0.5) * 1e-300
+		default:
+			return rng.NormFloat64()
+		}
+	}
+	rng := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 20; trial++ {
+		for n := 0; n <= 9; n++ {
+			a := make([]complex128, n*n)
+			b := make([]complex128, n*n)
+			c := make([]complex128, n*n)
+			for i := range a {
+				a[i] = complex(hard(rng), hard(rng))
+				b[i] = complex(hard(rng), hard(rng))
+				c[i] = complex(hard(rng), hard(rng))
+				if rng.Intn(4) == 0 {
+					a[i] = 0
+				}
+			}
+			want := append([]complex128(nil), c...)
+			mulAddSmall(c, a, b, n)
+			for i := 0; i < n; i++ {
+				for k := 0; k < n; k++ {
+					if av := a[i*n+k]; av != 0 {
+						for j := 0; j < n; j++ {
+							want[i*n+j] += av * b[k*n+j]
+						}
+					}
+				}
+			}
+			for i := range c {
+				if math.Float64bits(real(c[i])) != math.Float64bits(real(want[i])) ||
+					math.Float64bits(imag(c[i])) != math.Float64bits(imag(want[i])) {
+					t.Fatalf("n=%d elem %d: %v, scalar %v", n, i, c[i], want[i])
+				}
+			}
+		}
+	}
+}

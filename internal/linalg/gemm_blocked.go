@@ -145,6 +145,19 @@ func vecSubMulGo(dst, src []complex128, l complex128) {
 	}
 }
 
+// axpyGo is the portable dst[j] += s*src[j] over the length of src.
+func axpyGo(dst []complex128, s complex128, src []complex128) {
+	dst = dst[:len(src)]
+	for j, sv := range src {
+		dst[j] += s * sv
+	}
+}
+
+// HaveAVX2 reports whether the packed no-FMA AVX2 bodies are in use (always
+// false off amd64). Other packages dispatch their own packed kernels on it
+// rather than probing the CPU again.
+func HaveAVX2() bool { return haveAVX2 }
+
 // vecScaleGo is the portable dst[j] *= s.
 func vecScaleGo(dst []complex128, s complex128) {
 	for j := range dst {

@@ -256,6 +256,55 @@ func TestVecHelpersMatchGo(t *testing.T) {
 	}
 }
 
+// hardValue draws signed zeros, subnormals, huge and tiny magnitudes and
+// ordinary values, so products overflow, underflow and cancel.
+func hardValue(rng *rand.Rand) float64 {
+	switch rng.Intn(8) {
+	case 0:
+		return 0
+	case 1:
+		return math.Copysign(0, -1)
+	case 2:
+		return math.Float64frombits(uint64(rng.Int63n(1 << 52)))
+	case 3:
+		return (rng.Float64() + 0.5) * 1e300
+	case 4:
+		return -(rng.Float64() + 0.5) * 1e-300
+	default:
+		return rng.NormFloat64()
+	}
+}
+
+// TestVecAXPYMatchesGo pins the dispatched VecAXPY (AVX2 with a scalar
+// odd tail) bitwise against the portable loop over lengths 0-9.
+func TestVecAXPYMatchesGo(t *testing.T) {
+	if !haveAVX2 {
+		t.Skip("no AVX2 on this CPU: only the portable loop runs")
+	}
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 50; trial++ {
+		for n := 0; n <= 9; n++ {
+			src := make([]complex128, n)
+			d1 := make([]complex128, n+1) // longer dst: only len(src) is touched
+			for i := range src {
+				src[i] = complex(hardValue(rng), hardValue(rng))
+			}
+			for i := range d1 {
+				d1[i] = complex(hardValue(rng), hardValue(rng))
+			}
+			d2 := append([]complex128(nil), d1...)
+			s := complex(hardValue(rng), hardValue(rng))
+			VecAXPY(d1, s, src)
+			axpyGo(d2, s, src)
+			for i := range d1 {
+				if !bitwiseEqual(d1[i], d2[i]) {
+					t.Fatalf("VecAXPY n=%d elem %d: %v != %v", n, i, d1[i], d2[i])
+				}
+			}
+		}
+	}
+}
+
 func expectPanic(t *testing.T, ctx string, f func()) {
 	t.Helper()
 	defer func() {

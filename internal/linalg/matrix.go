@@ -243,9 +243,7 @@ func Scale(dst *Matrix, s complex128, a *Matrix) *Matrix {
 // AXPY performs dst += s*a and returns dst.
 func AXPY(dst *Matrix, s complex128, a *Matrix) *Matrix {
 	checkSameShape("AXPY", dst, a)
-	for i := range a.Data {
-		dst.Data[i] += s * a.Data[i]
-	}
+	VecAXPY(dst.Data, s, a.Data)
 	return dst
 }
 

@@ -50,6 +50,9 @@ func vecSubMulAVX2(dst, src *complex128, n int, l complex128)
 //go:noescape
 func vecScaleAVX2(dst *complex128, n int, s complex128)
 
+//go:noescape
+func axpyAVX2(dst, src *complex128, n int, s complex128)
+
 // vecSubMul computes dst[j] -= l*src[j]. Rounding matches the scalar
 // expression exactly (no FMA), so LU substitution stays bit-identical
 // across the assembly and portable paths.
@@ -78,4 +81,22 @@ func vecScale(dst []complex128, s complex128) {
 		return
 	}
 	vecScaleGo(dst, s)
+}
+
+// VecAXPY computes dst[j] += s*src[j] for j < len(src); dst must be at least
+// as long. Each element is rounded exactly as the scalar expression (the
+// packed body multiplies the broadcast s by src with no FMA), so callers
+// stay bit-identical across the assembly and portable paths.
+func VecAXPY(dst []complex128, s complex128, src []complex128) {
+	n := len(src)
+	if haveAVX2 && n >= 2 {
+		dst = dst[:n]
+		even := n &^ 1
+		axpyAVX2(&dst[0], &src[0], even, s)
+		if even < n {
+			dst[even] += s * src[even]
+		}
+		return
+	}
+	axpyGo(dst, s, src)
 }

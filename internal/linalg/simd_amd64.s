@@ -183,3 +183,35 @@ loop3:
 done3:
 	VZEROUPPER
 	RET
+
+// func axpyAVX2(dst, src *complex128, n int, s complex128)
+//
+// dst[j] += s*src[j] for j in [0, n), n even (odd tail handled by the Go
+// wrapper). The product is bcast(sr)*src addsub bcast(si)*swap(src), the
+// rounding of Go's s*src; the add is a separate VADDPD (no FMA).
+TEXT ·axpyAVX2(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DX
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	VBROADCASTSD s_real+24(FP), Y8
+	VBROADCASTSD s_imag+32(FP), Y9
+	SHRQ $1, CX
+	JZ   done4
+
+loop4:
+	VMOVUPD   (SI), Y12
+	VPERMILPD $0x5, Y12, Y13
+	VMULPD    Y12, Y8, Y14
+	VMULPD    Y13, Y9, Y15
+	VADDSUBPD Y15, Y14, Y14
+	VMOVUPD   (DX), Y0
+	VADDPD    Y14, Y0, Y0
+	VMOVUPD   Y0, (DX)
+	ADDQ      $32, SI
+	ADDQ      $32, DX
+	DECQ      CX
+	JNZ       loop4
+
+done4:
+	VZEROUPPER
+	RET

@@ -15,3 +15,6 @@ func vecSubMul(dst, src []complex128, l complex128) { vecSubMulGo(dst, src, l) }
 
 // vecScale computes dst[j] *= s.
 func vecScale(dst []complex128, s complex128) { vecScaleGo(dst, s) }
+
+// VecAXPY computes dst[j] += s*src[j] for j < len(src).
+func VecAXPY(dst []complex128, s complex128, src []complex128) { axpyGo(dst, s, src) }

@@ -90,3 +90,26 @@ func TestRegistryMemoryOnly(t *testing.T) {
 		t.Fatal("Get returned a shared reference, not a copy")
 	}
 }
+
+// TestPutStudyStoresCopy pins that the registry keeps its own MemberRuns:
+// the study runner keeps filling its slice after PutStudy, and a stored
+// record sharing that backing array would change under readers (and race
+// with the handlers that encode it).
+func TestPutStudyStoresCopy(t *testing.T) {
+	reg, err := OpenRegistry("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := StudyRecord{ID: reg.NewStudyID(), Members: 2, MemberRuns: []string{"run-a", ""}}
+	if err := reg.PutStudy(rec); err != nil {
+		t.Fatal(err)
+	}
+	rec.MemberRuns[1] = "run-b"
+	got, ok := reg.GetStudy(rec.ID)
+	if !ok {
+		t.Fatal("study not stored")
+	}
+	if got.MemberRuns[1] != "" {
+		t.Fatalf("stored MemberRuns changed with the caller's slice: %q", got.MemberRuns)
+	}
+}

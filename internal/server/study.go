@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"repro/internal/qt"
@@ -58,8 +59,10 @@ func (r *Registry) NewStudyID() string {
 	return fmt.Sprintf("study-%06d", r.studySeq)
 }
 
-// PutStudy stores (a copy of) the study record and persists it.
+// PutStudy stores a copy of the study record and persists it. The copy
+// owns its MemberRuns, since the study runner keeps writing its own slice.
 func (r *Registry) PutStudy(rec StudyRecord) error {
+	rec.MemberRuns = slices.Clone(rec.MemberRuns)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, ok := r.studies[rec.ID]; !ok {
