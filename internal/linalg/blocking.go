@@ -39,11 +39,13 @@ func Blocking() BlockSizes {
 	return DefaultBlocking()
 }
 
-// SetBlocking installs bs process-wide for subsequent GEMM calls. Each
-// gemmBlocked invocation reads the blocking once at entry, so a call
-// racing with SetBlocking uses one coherent set of sizes; concurrent
-// row-partitioned workers of the same GEMM may in principle observe
-// different sizes, which is harmless under the bit-identity contract.
+// SetBlocking installs bs process-wide for subsequent packed GEMM calls;
+// problems on the direct small-block path (see directMaxK) never pack and
+// are unaffected. Each gemmBlocked invocation reads the blocking once at
+// entry, so a call racing with SetBlocking uses one coherent set of sizes;
+// concurrent row-partitioned workers of the same GEMM may in principle
+// observe different sizes, which is harmless under the bit-identity
+// contract.
 // The sizes must cover at least one register tile (MC ≥ 2, NC ≥ 8,
 // KC ≥ 1); anything smaller is rejected.
 func SetBlocking(bs BlockSizes) error {

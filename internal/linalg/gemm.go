@@ -101,12 +101,20 @@ func GEMM(alpha complex128, a *Matrix, opA Op, b *Matrix, opB Op, beta complex12
 	gemmDispatch(alpha, a, opA, b, opB, beta, c, nil)
 }
 
-// gemmDispatch routes one shape-checked GEMM to a kernel: the unpacked
-// gemmStripe reference for small NoTrans problems, the packed blocked
-// kernel otherwise, row-partitioned across budget-free workers when the
-// problem is large. ws, when non-nil, donates the packing buffers
-// (workspace-pooled hot path); otherwise they come from packPool. Shared
-// by the allocating GEMM and Workspace.GEMM.
+// gemmDispatch routes one shape-checked GEMM to a kernel, by operand shape
+// alone:
+//   - NoTrans×NoTrans with k ≤ directMaxK below the parallel threshold runs
+//     on the direct AVX2 kernel (gemmDirect), which reads A, B and C in
+//     place: no packing, no packing buffers, no pool;
+//   - other small NoTrans problems (below packThreshold) run on the
+//     unpacked gemmStripe reference — off AVX2 that covers them all;
+//   - everything else runs on the packed blocked kernel, row-partitioned
+//     across budget-free workers when the problem is large. ws, when
+//     non-nil, donates its packing buffers (workspace-pooled hot path);
+//     otherwise they come from packPool.
+//
+// Every kernel computes the same bits (see gemm_blocked.go), so the route
+// changes speed only. Shared by the allocating GEMM and Workspace.GEMM.
 func gemmDispatch(alpha complex128, a *Matrix, opA Op, b *Matrix, opB Op, beta complex128, c *Matrix, ws *Workspace) {
 	m, n := c.Rows, c.Cols
 	var k int
@@ -116,9 +124,15 @@ func gemmDispatch(alpha complex128, a *Matrix, opA Op, b *Matrix, opB Op, beta c
 		k = a.Rows
 	}
 	work := int64(m) * int64(n) * int64(k)
-	if work < packThreshold && opA == NoTrans && opB == NoTrans {
-		gemmStripe(alpha, a, b, beta, c, 0, m)
-		return
+	if opA == NoTrans && opB == NoTrans {
+		if haveAVX2 && k <= directMaxK && work < parallelThreshold {
+			gemmDirect(alpha, a, b, beta, c)
+			return
+		}
+		if work < packThreshold {
+			gemmStripe(alpha, a, b, beta, c, 0, m)
+			return
+		}
 	}
 
 	workers := 1

@@ -6,13 +6,15 @@ import (
 	"testing"
 )
 
-// BenchmarkGEMM sweeps the square sizes that occur in the solver: Norb-sized
-// SSE blocks (12), RGF blocks (32–256). The Trans/ConjTrans cases pin the
-// packed path's zero-allocation property (the old kernel materialized
-// b.T()/b.H() per call).
+// BenchmarkGEMM sweeps the square sizes that occur in the solver: the
+// benchmark workloads' electron and phonon blocks (8, 12, 32, 48), which
+// NoTrans×NoTrans runs on the direct kernel, and larger RGF blocks
+// (64–256) on the packed one. The Trans/ConjTrans cases pin the packed
+// path's zero-allocation property (the old kernel materialized
+// b.T()/b.H() per call); the NoTrans cases pin the direct path's.
 func BenchmarkGEMM(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{12, 32, 64, 128, 192, 256} {
+	for _, n := range []int{8, 12, 32, 48, 64, 128, 192, 256} {
 		am := randMat(rng, n, n)
 		bm := randMat(rng, n, n)
 		cm := New(n, n)

@@ -100,3 +100,26 @@ func VecAXPY(dst []complex128, s complex128, src []complex128) {
 	}
 	axpyGo(dst, s, src)
 }
+
+// gemmDirectAVX2 is the direct small-block kernel (see gemmDirect):
+// C = alpha·A·B + (load ≠ 0 ? C : 0) on dense row-major m×k, k×n and m×n
+// operands read in place; 1 ≤ k ≤ directMaxK.
+//
+//go:noescape
+func gemmDirectAVX2(m, n, k int, a, b, c *complex128, alpha complex128, load int)
+
+// gemmDirect computes C = alpha·A·B + beta·C for NoTrans operands with
+// 1 ≤ k ≤ directMaxK on the AVX2 direct kernel. A general beta is applied
+// to C first with the scalar-identical vecScale; beta == 0 never reads C.
+// The result is bitwise gemmStripe's (see gemm.go).
+func gemmDirect(alpha complex128, a, b *Matrix, beta complex128, c *Matrix) {
+	load := 1
+	switch beta {
+	case 0:
+		load = 0
+	case 1:
+	default:
+		vecScale(c.Data, beta)
+	}
+	gemmDirectAVX2(c.Rows, c.Cols, a.Cols, &a.Data[0], &b.Data[0], &c.Data[0], alpha, load)
+}

@@ -215,3 +215,451 @@ loop4:
 done4:
 	VZEROUPPER
 	RET
+
+// Direct small-block GEMM: C = alpha·A·B + (load ? C : 0) with A (m×k),
+// B (k×n) and C (m×n) dense row-major and read in place — no packed
+// panels. Per row pair, alpha·A[i:i+2][0:k] is folded once into the
+// frame (gemmDirectMaxK complex per row) with the same no-FMA complex
+// multiply as packA; then every 8-, 4-, 2- and 1-wide column strip of
+// the pair runs a register tile over k ascending, one accumulator per C
+// element, each multiply-add rounded as Go's z += a*b (mul, mul,
+// addsub, add). An odd last row runs the same strips one row wide. The
+// Go wrapper applies a general beta to C first and passes load = 0 for
+// beta == 0, so C is never read then.
+//
+// Register plan: AX A row, R8 = k·16 (A row stride and the offset of
+// the second folded row), DX C row, R9 = n·16 (B and C row stride),
+// R10 = k, R13 rows left, R11 columns left, R12 C strip, R14 B strip, CX k
+// counter, SI folded-A cursor, DI B cursor. Y0-Y7 accumulators (row 0
+// in Y0-Y3, row 1 in Y4-Y7), Y8-Y11 broadcast a_r, a_i of both rows
+// (alpha during the fold), Y12/Y13 the B vector and its pair swap,
+// Y14/Y15 products.
+
+// CMADD adds bcast(ar)·Y12 addsub bcast(ai)·Y13 into acc (ymm).
+#define CMADD(ar, ai, acc) \
+	VMULPD    Y12, ar, Y14; \
+	VMULPD    Y13, ai, Y15; \
+	VADDSUBPD Y15, Y14, Y14; \
+	VADDPD    Y14, acc, acc
+
+// CMADDX is CMADD on the low complex only (xmm).
+#define CMADDX(ar, ai, acc) \
+	VMULPD    X12, ar, X14; \
+	VMULPD    X13, ai, X15; \
+	VADDSUBPD X15, X14, X14; \
+	VADDPD    X14, acc, acc
+
+// LOADB loads B[p][j+off/16 : +2] into Y12 and its pair swap into Y13.
+#define LOADB(off) \
+	VMOVUPD   off(DI), Y12; \
+	VPERMILPD $0x5, Y12, Y13
+
+// BCAST2 broadcasts the real and imaginary parts of both folded rows at
+// the cursor.
+#define BCAST2 \
+	VBROADCASTSD (SI), Y8; \
+	VBROADCASTSD 8(SI), Y9; \
+	VBROADCASTSD (SI)(R8*1), Y10; \
+	VBROADCASTSD 8(SI)(R8*1), Y11
+
+// FOLD leaves alpha·x in p1 for packed complex x (alpha broadcast in
+// Y8/Y9), the rounding of Go's alpha*x.
+#define FOLD(x, sw, p1, p2) \
+	VPERMILPD $0x5, x, sw; \
+	VMULPD    x, Y8, p1; \
+	VMULPD    sw, Y9, p2; \
+	VADDSUBPD p2, p1, p1
+
+#define FOLDX(x, sw, p1, p2) \
+	VPERMILPD $0x1, x, sw; \
+	VMULPD    x, X8, p1; \
+	VMULPD    sw, X9, p2; \
+	VADDSUBPD p2, p1, p1
+
+// KSTEP advances the k cursors: next folded A element, next B row.
+#define KSTEP \
+	ADDQ $16, SI; \
+	ADDQ R9, DI; \
+	DECQ CX
+
+// STRIP starts a column strip: folded-A cursor at the frame, B cursor at
+// the strip, k counter.
+#define STRIP \
+	LEAQ 0(SP), SI; \
+	MOVQ R14, DI; \
+	MOVQ R10, CX
+
+// func gemmDirectAVX2(m, n, k int, a, b, c *complex128, alpha complex128, load int)
+TEXT ·gemmDirectAVX2(SB), 0, $2048-72
+	MOVQ m+0(FP), R13
+	MOVQ n+8(FP), R9
+	SHLQ $4, R9
+	MOVQ k+16(FP), R10
+	MOVQ R10, R8
+	SHLQ $4, R8
+	MOVQ a+24(FP), AX
+	MOVQ c+40(FP), DX
+
+pair:
+	CMPQ R13, $2
+	JLT  single
+
+	// Fold alpha·A rows i and i+1 into the frame.
+	VBROADCASTSD alpha_real+48(FP), Y8
+	VBROADCASTSD alpha_imag+56(FP), Y9
+	MOVQ AX, SI
+	LEAQ 0(SP), DI
+	MOVQ R10, CX
+	SHRQ $1, CX
+	JZ   pfoldodd
+
+pfold:
+	VMOVUPD (SI), Y0
+	VMOVUPD (SI)(R8*1), Y1
+	FOLD(Y0, Y2, Y3, Y4)
+	FOLD(Y1, Y5, Y6, Y7)
+	VMOVUPD Y3, (DI)
+	VMOVUPD Y6, (DI)(R8*1)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     pfold
+
+pfoldodd:
+	MOVQ  R10, CX
+	TESTQ $1, CX
+	JZ    pstrips
+	VMOVUPD (SI), X0
+	VMOVUPD (SI)(R8*1), X1
+	FOLDX(X0, X2, X3, X4)
+	FOLDX(X1, X5, X6, X7)
+	VMOVUPD X3, (DI)
+	VMOVUPD X6, (DI)(R8*1)
+
+pstrips:
+	MOVQ b+32(FP), R14
+	MOVQ DX, R12
+	MOVQ n+8(FP), R11
+
+p8:
+	CMPQ R11, $8
+	JLT  p4
+	CMPQ load+64(FP), $0
+	JEQ  p8zero
+	VMOVUPD (R12), Y0
+	VMOVUPD 32(R12), Y1
+	VMOVUPD 64(R12), Y2
+	VMOVUPD 96(R12), Y3
+	VMOVUPD (R12)(R9*1), Y4
+	VMOVUPD 32(R12)(R9*1), Y5
+	VMOVUPD 64(R12)(R9*1), Y6
+	VMOVUPD 96(R12)(R9*1), Y7
+	JMP     p8go
+
+p8zero:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+
+p8go:
+	STRIP
+
+p8k:
+	BCAST2
+	LOADB(0)
+	CMADD(Y8, Y9, Y0)
+	CMADD(Y10, Y11, Y4)
+	LOADB(32)
+	CMADD(Y8, Y9, Y1)
+	CMADD(Y10, Y11, Y5)
+	LOADB(64)
+	CMADD(Y8, Y9, Y2)
+	CMADD(Y10, Y11, Y6)
+	LOADB(96)
+	CMADD(Y8, Y9, Y3)
+	CMADD(Y10, Y11, Y7)
+	KSTEP
+	JNZ p8k
+
+	VMOVUPD Y0, (R12)
+	VMOVUPD Y1, 32(R12)
+	VMOVUPD Y2, 64(R12)
+	VMOVUPD Y3, 96(R12)
+	VMOVUPD Y4, (R12)(R9*1)
+	VMOVUPD Y5, 32(R12)(R9*1)
+	VMOVUPD Y6, 64(R12)(R9*1)
+	VMOVUPD Y7, 96(R12)(R9*1)
+	ADDQ    $128, R14
+	ADDQ    $128, R12
+	SUBQ    $8, R11
+	JMP     p8
+
+p4:
+	TESTQ $4, R11
+	JZ    p2
+	CMPQ  load+64(FP), $0
+	JEQ   p4zero
+	VMOVUPD (R12), Y0
+	VMOVUPD 32(R12), Y1
+	VMOVUPD (R12)(R9*1), Y4
+	VMOVUPD 32(R12)(R9*1), Y5
+	JMP     p4go
+
+p4zero:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+
+p4go:
+	STRIP
+
+p4k:
+	BCAST2
+	LOADB(0)
+	CMADD(Y8, Y9, Y0)
+	CMADD(Y10, Y11, Y4)
+	LOADB(32)
+	CMADD(Y8, Y9, Y1)
+	CMADD(Y10, Y11, Y5)
+	KSTEP
+	JNZ p4k
+
+	VMOVUPD Y0, (R12)
+	VMOVUPD Y1, 32(R12)
+	VMOVUPD Y4, (R12)(R9*1)
+	VMOVUPD Y5, 32(R12)(R9*1)
+	ADDQ    $64, R14
+	ADDQ    $64, R12
+
+p2:
+	TESTQ $2, R11
+	JZ    p1
+	CMPQ  load+64(FP), $0
+	JEQ   p2zero
+	VMOVUPD (R12), Y0
+	VMOVUPD (R12)(R9*1), Y4
+	JMP     p2go
+
+p2zero:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y4, Y4, Y4
+
+p2go:
+	STRIP
+
+p2k:
+	BCAST2
+	LOADB(0)
+	CMADD(Y8, Y9, Y0)
+	CMADD(Y10, Y11, Y4)
+	KSTEP
+	JNZ p2k
+
+	VMOVUPD Y0, (R12)
+	VMOVUPD Y4, (R12)(R9*1)
+	ADDQ    $32, R14
+	ADDQ    $32, R12
+
+p1:
+	TESTQ $1, R11
+	JZ    pnext
+	CMPQ  load+64(FP), $0
+	JEQ   p1zero
+	VMOVUPD (R12), X0
+	VMOVUPD (R12)(R9*1), X4
+	JMP     p1go
+
+p1zero:
+	VXORPD X0, X0, X0
+	VXORPD X4, X4, X4
+
+p1go:
+	STRIP
+
+p1k:
+	BCAST2
+	VMOVUPD   (DI), X12
+	VPERMILPD $0x1, X12, X13
+	CMADDX(X8, X9, X0)
+	CMADDX(X10, X11, X4)
+	KSTEP
+	JNZ p1k
+
+	VMOVUPD X0, (R12)
+	VMOVUPD X4, (R12)(R9*1)
+
+pnext:
+	LEAQ (AX)(R8*2), AX
+	LEAQ (DX)(R9*2), DX
+	SUBQ $2, R13
+	JMP  pair
+
+single:
+	TESTQ R13, R13
+	JZ    done
+
+	// Fold alpha·A row i (the odd last row) into the frame.
+	VBROADCASTSD alpha_real+48(FP), Y8
+	VBROADCASTSD alpha_imag+56(FP), Y9
+	MOVQ AX, SI
+	LEAQ 0(SP), DI
+	MOVQ R10, CX
+	SHRQ $1, CX
+	JZ   sfoldodd
+
+sfold:
+	VMOVUPD (SI), Y0
+	FOLD(Y0, Y2, Y3, Y4)
+	VMOVUPD Y3, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     sfold
+
+sfoldodd:
+	MOVQ  R10, CX
+	TESTQ $1, CX
+	JZ    sstrips
+	VMOVUPD (SI), X0
+	FOLDX(X0, X2, X3, X4)
+	VMOVUPD X3, (DI)
+
+sstrips:
+	MOVQ b+32(FP), R14
+	MOVQ DX, R12
+	MOVQ n+8(FP), R11
+
+s8:
+	CMPQ R11, $8
+	JLT  s4
+	CMPQ load+64(FP), $0
+	JEQ  s8zero
+	VMOVUPD (R12), Y0
+	VMOVUPD 32(R12), Y1
+	VMOVUPD 64(R12), Y2
+	VMOVUPD 96(R12), Y3
+	JMP     s8go
+
+s8zero:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+
+s8go:
+	STRIP
+
+s8k:
+	VBROADCASTSD (SI), Y8
+	VBROADCASTSD 8(SI), Y9
+	LOADB(0)
+	CMADD(Y8, Y9, Y0)
+	LOADB(32)
+	CMADD(Y8, Y9, Y1)
+	LOADB(64)
+	CMADD(Y8, Y9, Y2)
+	LOADB(96)
+	CMADD(Y8, Y9, Y3)
+	KSTEP
+	JNZ s8k
+
+	VMOVUPD Y0, (R12)
+	VMOVUPD Y1, 32(R12)
+	VMOVUPD Y2, 64(R12)
+	VMOVUPD Y3, 96(R12)
+	ADDQ    $128, R14
+	ADDQ    $128, R12
+	SUBQ    $8, R11
+	JMP     s8
+
+s4:
+	TESTQ $4, R11
+	JZ    s2
+	CMPQ  load+64(FP), $0
+	JEQ   s4zero
+	VMOVUPD (R12), Y0
+	VMOVUPD 32(R12), Y1
+	JMP     s4go
+
+s4zero:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+
+s4go:
+	STRIP
+
+s4k:
+	VBROADCASTSD (SI), Y8
+	VBROADCASTSD 8(SI), Y9
+	LOADB(0)
+	CMADD(Y8, Y9, Y0)
+	LOADB(32)
+	CMADD(Y8, Y9, Y1)
+	KSTEP
+	JNZ s4k
+
+	VMOVUPD Y0, (R12)
+	VMOVUPD Y1, 32(R12)
+	ADDQ    $64, R14
+	ADDQ    $64, R12
+
+s2:
+	TESTQ $2, R11
+	JZ    s1
+	CMPQ  load+64(FP), $0
+	JEQ   s2zero
+	VMOVUPD (R12), Y0
+	JMP     s2go
+
+s2zero:
+	VXORPD Y0, Y0, Y0
+
+s2go:
+	STRIP
+
+s2k:
+	VBROADCASTSD (SI), Y8
+	VBROADCASTSD 8(SI), Y9
+	LOADB(0)
+	CMADD(Y8, Y9, Y0)
+	KSTEP
+	JNZ s2k
+
+	VMOVUPD Y0, (R12)
+	ADDQ    $32, R14
+	ADDQ    $32, R12
+
+s1:
+	TESTQ $1, R11
+	JZ    done
+	CMPQ  load+64(FP), $0
+	JEQ   s1zero
+	VMOVUPD (R12), X0
+	JMP     s1go
+
+s1zero:
+	VXORPD X0, X0, X0
+
+s1go:
+	STRIP
+
+s1k:
+	VBROADCASTSD (SI), Y8
+	VBROADCASTSD 8(SI), Y9
+	VMOVUPD   (DI), X12
+	VPERMILPD $0x1, X12, X13
+	CMADDX(X8, X9, X0)
+	KSTEP
+	JNZ s1k
+
+	VMOVUPD X0, (R12)
+
+done:
+	VZEROUPPER
+	RET

@@ -18,3 +18,9 @@ func vecScale(dst []complex128, s complex128) { vecScaleGo(dst, s) }
 
 // VecAXPY computes dst[j] += s*src[j] for j < len(src).
 func VecAXPY(dst []complex128, s complex128, src []complex128) { axpyGo(dst, s, src) }
+
+// gemmDirect is never reached off amd64 (haveAVX2 is false); the stripe
+// reference computes the same bits.
+func gemmDirect(alpha complex128, a, b *Matrix, beta complex128, c *Matrix) {
+	gemmStripe(alpha, a, b, beta, c, 0, c.Rows)
+}

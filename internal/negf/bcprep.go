@@ -16,11 +16,20 @@ import (
 // the cache. The arithmetic is identical to the in-solve path, so the
 // cached result is bitwise the same. Only meaningful in bc.CacheBC mode;
 // with bc.NoCache the result would be recomputed anyway.
+//
+// With a tracer the call is one "bc/el" span on its own trace lane, the
+// name and point of the solve's boundary span: a point's first bc span is
+// then the decimation itself (the cache miss), and the solve's lookups
+// that follow are the warm hits — the cold/warm split plan.Calibrate
+// reads from the trace.
 func (s *PointSolver) PrepareElectronBC(h *blocktri.Matrix, ik, ie int) error {
 	p := s.Dev.P
 	z := complex(p.Energy(ie), p.Eta)
 	nb := p.Bnum
 	bs := p.ElBlockSize()
+	sc := s.getScratch()
+	defer s.putScratch(sc)
+	tBC := s.Trace.Begin()
 	if _, err := s.BC.Get(0, ik, ie, func() (*bc.Result, error) {
 		return bc.SurfaceGF(edgeBlock(h.Diag[0], z, bs), negated(h.Lower[0], bs), 0, 0)
 	}); err != nil {
@@ -31,18 +40,22 @@ func (s *PointSolver) PrepareElectronBC(h *blocktri.Matrix, ik, ie int) error {
 	}); err != nil {
 		return fmt.Errorf("right boundary: %w", err)
 	}
+	s.Trace.End(s.TraceRank, sc.track, "bc", "bc/el", ik, ie, tBC)
 	return nil
 }
 
 // PreparePhononBC is PrepareElectronBC for phonon point (iq, m): the
 // boundary blocks are (ω+iη)²·I − Φ with the bare dynamical matrix, again
-// independent of the scattering self-energies.
+// independent of the scattering self-energies. It traces as "bc/ph".
 func (s *PointSolver) PreparePhononBC(phi *blocktri.Matrix, iq, m int) error {
 	p := s.Dev.P
 	z := complex(p.Omega(m), p.Eta)
 	z2 := z * z
 	nb := p.Bnum
 	bs := p.PhBlockSize()
+	sc := s.getScratch()
+	defer s.putScratch(sc)
+	tBC := s.Trace.Begin()
 	if _, err := s.BC.Get(2, iq, m, func() (*bc.Result, error) {
 		return bc.SurfaceGF(edgeBlock(phi.Diag[0], z2, bs), negated(phi.Lower[0], bs), 0, 0)
 	}); err != nil {
@@ -53,6 +66,7 @@ func (s *PointSolver) PreparePhononBC(phi *blocktri.Matrix, iq, m int) error {
 	}); err != nil {
 		return fmt.Errorf("right phonon boundary: %w", err)
 	}
+	s.Trace.End(s.TraceRank, sc.track, "bc", "bc/ph", iq, m, tBC)
 	return nil
 }
 

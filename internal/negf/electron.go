@@ -114,15 +114,13 @@ func (s *PointSolver) SolveElectronPoint(h *blocktri.Matrix, ik, ie int) (*Elect
 	// Open boundaries: semi-infinite periodic extensions of the edge slabs.
 	tBC := s.Trace.Begin()
 	left, err := s.BC.Get(0, ik, ie, func() (*bc.Result, error) {
-		d00 := a.Diag[0].Clone()
-		return bc.SurfaceGF(d00, a.Lower[0], 0, 0)
+		return bc.SurfaceGF(a.Diag[0], a.Lower[0], 0, 0)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("left boundary: %w", err)
 	}
 	right, err := s.BC.Get(1, ik, ie, func() (*bc.Result, error) {
-		d00 := a.Diag[nb-1].Clone()
-		return bc.SurfaceGF(d00, a.Upper[nb-2], 0, 0)
+		return bc.SurfaceGF(a.Diag[nb-1], a.Upper[nb-2], 0, 0)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("right boundary: %w", err)

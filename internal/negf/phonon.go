@@ -117,13 +117,13 @@ func (s *PointSolver) SolvePhononPoint(phi *blocktri.Matrix, iq, m int) (*Phonon
 	// cached across iterations, §7.1.2).
 	tBC := s.Trace.Begin()
 	left, err := s.BC.Get(2, iq, m, func() (*bc.Result, error) {
-		return bc.SurfaceGF(a.Diag[0].Clone(), a.Lower[0], 0, 0)
+		return bc.SurfaceGF(a.Diag[0], a.Lower[0], 0, 0)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("left phonon boundary: %w", err)
 	}
 	right, err := s.BC.Get(3, iq, m, func() (*bc.Result, error) {
-		return bc.SurfaceGF(a.Diag[nb-1].Clone(), a.Upper[nb-2], 0, 0)
+		return bc.SurfaceGF(a.Diag[nb-1], a.Upper[nb-2], 0, 0)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("right phonon boundary: %w", err)

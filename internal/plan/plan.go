@@ -185,7 +185,9 @@ func chooseWith(dev *device.Device, o Options, cal Calibration) (Plan, error) {
 // diagonal block, the shape every RGF step multiplies) under each
 // candidate blocking and returns the fastest, preferring the
 // compiled-in default within a 3% band — measured noise should not
-// evict a hand-tuned setting.
+// evict a hand-tuned setting. With AVX2, blocks of up to 64 rows multiply
+// on linalg's direct kernel, which takes no blocking: the candidates then
+// differ only by noise and the band keeps the default.
 func ChooseBlocking(dev *device.Device, cands []linalg.BlockSizes) (linalg.BlockSizes, error) {
 	n := 0
 	for _, s := range dev.Hamiltonian(0).Sizes {

@@ -255,11 +255,11 @@ func SolveInto(p *Problem, ws *linalg.Workspace, sol *Solution) (*Solution, erro
 				linalg.Add(sG, sG, prod)
 			} else {
 				upH := linalg.HInto(ws.Get(m, n), up)
-				linalg.MulInto(t, up, gL[i+1])
-				linalg.MulInto(prod, t, upH)
+				ws.MulInto(t, up, gL[i+1])
+				ws.MulInto(prod, t, upH)
 				linalg.Add(sL, sL, prod)
-				linalg.MulInto(t, up, gG[i+1])
-				linalg.MulInto(prod, t, upH)
+				ws.MulInto(t, up, gG[i+1])
+				ws.MulInto(prod, t, upH)
 				linalg.Add(sG, sG, prod)
 				ws.Put(upH)
 			}
@@ -269,11 +269,11 @@ func SolveInto(p *Problem, ws *linalg.Workspace, sol *Solution) (*Solution, erro
 		// g≷ = gR·σ≷·gA, associated (gR·σ≷)·gA.
 		t := ws.Get(n, n)
 		gL[i] = ws.Get(n, n)
-		linalg.MulInto(t, gR[i], sL)
-		linalg.MulInto(gL[i], t, gA)
+		ws.MulInto(t, gR[i], sL)
+		ws.MulInto(gL[i], t, gA)
 		gG[i] = ws.Get(n, n)
-		linalg.MulInto(t, gR[i], sG)
-		linalg.MulInto(gG[i], t, gA)
+		ws.MulInto(t, gR[i], sG)
+		ws.MulInto(gG[i], t, gA)
 		ws.Put(t)
 		ws.Put(sL)
 		ws.Put(sG)
@@ -302,9 +302,9 @@ func SolveInto(p *Problem, ws *linalg.Workspace, sol *Solution) (*Solution, erro
 		if sp != nil {
 			sparse.GEMMIInto(gRnLo, gRn, &sp.cscLo)
 		} else {
-			linalg.MulInto(gRnLo, gRn, lo)
+			ws.MulInto(gRnLo, gRn, lo)
 		}
-		u1 := linalg.MulInto(ws.Get(m, n), gRnLo, GRi) // (gR·A_lo)·GR_ii
+		u1 := ws.MulInto(ws.Get(m, n), gRnLo, GRi) // (gR·A_lo)·GR_ii
 		// A_loᴴ·gA = (gR·A_lo)ᴴ: conj distributes exactly over IEEE
 		// products and sums and complex multiply is bitwise commutative,
 		// so reusing gRnLo here is bit-identical to the eliminated
@@ -314,22 +314,22 @@ func SolveInto(p *Problem, ws *linalg.Workspace, sol *Solution) (*Solution, erro
 		if sp != nil {
 			sparse.GEMMIInto(GRiUp, GRi, &sp.cscUp)
 		} else {
-			linalg.MulInto(GRiUp, GRi, up)
+			ws.MulInto(GRiUp, GRi, up)
 		}
 
 		// Retarded off-diagonals and diagonal update.
 		s.GRLower[i] = linalg.Scale(ws.Get(m, n), -1, u1)
 		s.GRUpper[i] = ws.Get(n, m)
-		linalg.MulInto(s.GRUpper[i], GRiUp, gRn)
+		ws.MulInto(s.GRUpper[i], GRiUp, gRn)
 		linalg.Scale(s.GRUpper[i], -1, s.GRUpper[i])
 		// GR_{i+1,i+1} = gR + gR·A_{i+1,i}·GR_ii·A_{i,i+1}·gR.
 		upgRn := ws.Get(n, m)
 		if sp != nil {
 			sparse.CSRMMInto(upgRn, &sp.csrUp, gRn)
 		} else {
-			linalg.MulInto(upgRn, up, gRn)
+			ws.MulInto(upgRn, up, gRn)
 		}
-		corr := linalg.MulInto(ws.Get(m, m), u1, upgRn)
+		corr := ws.MulInto(ws.Get(m, m), u1, upgRn)
 		s.GR[i+1] = ws.Get(m, m)
 		linalg.Add(s.GR[i+1], gRn, corr)
 		ws.Put(upgRn)
@@ -339,14 +339,14 @@ func SolveInto(p *Problem, ws *linalg.Workspace, sol *Solution) (*Solution, erro
 		// G≷_{i,i+1} = −GR_ii·A_{i,i+1}·g≷_{i+1} − G≷_ii·A_{i+1,i}ᴴ·gA_{i+1}
 		// G≷_{i+1,i} = −(G≷_{i,i+1})ᴴ (anti-Hermiticity of G≷).
 		offDiag := func(dst, gn, Gi *linalg.Matrix) {
-			t1 := linalg.MulInto(ws.Get(n, m), GRiUp, gn)
+			t1 := ws.MulInto(ws.Get(n, m), GRiUp, gn)
 			tA := ws.Get(n, m)
 			if sp != nil {
 				sparse.GEMMIInto(tA, Gi, &sp.cscLoH)
 			} else {
-				linalg.MulInto(tA, Gi, loH)
+				ws.MulInto(tA, Gi, loH)
 			}
-			t2 := linalg.MulInto(ws.Get(n, m), tA, gAn)
+			t2 := ws.MulInto(ws.Get(n, m), tA, gAn)
 			linalg.Add(dst, t1, t2)
 			linalg.Scale(dst, -1, dst)
 			ws.Put(t1)
@@ -367,25 +367,25 @@ func SolveInto(p *Problem, ws *linalg.Workspace, sol *Solution) (*Solution, erro
 		//              + gR·A_lo·GR_ii·A_up·g≷ + g≷·A_upᴴ·GA_ii·A_loᴴ·gA.
 		diag := func(dst, gn, Gi *linalg.Matrix) {
 			dst.CopyFrom(gn)
-			tb := linalg.MulInto(ws.Get(m, n), gRnLo, Gi)
-			t := linalg.MulInto(ws.Get(m, m), tb, loHgAn)
+			tb := ws.MulInto(ws.Get(m, n), gRnLo, Gi)
+			t := ws.MulInto(ws.Get(m, m), tb, loHgAn)
 			linalg.AXPY(dst, 1, t)
 			tup := ws.Get(n, m)
 			if sp != nil {
 				sparse.CSRMMInto(tup, &sp.csrUp, gn)
 			} else {
-				linalg.MulInto(tup, up, gn)
+				ws.MulInto(tup, up, gn)
 			}
-			linalg.MulInto(t, u1, tup)
+			ws.MulInto(t, u1, tup)
 			linalg.AXPY(dst, 1, t)
 			tc := ws.Get(m, n)
 			if sp != nil {
 				sparse.GEMMIInto(tc, gn, &sp.cscUpH)
 			} else {
-				linalg.MulInto(tc, gn, upH)
+				ws.MulInto(tc, gn, upH)
 			}
-			td := linalg.MulInto(ws.Get(m, n), tc, GAi)
-			linalg.MulInto(t, td, loHgAn)
+			td := ws.MulInto(ws.Get(m, n), tc, GAi)
+			ws.MulInto(t, td, loHgAn)
 			linalg.AXPY(dst, 1, t)
 			ws.Put(tb)
 			ws.Put(t)
