@@ -40,7 +40,7 @@ func Blocking() BlockSizes {
 }
 
 // SetBlocking installs bs process-wide for subsequent packed GEMM calls;
-// problems on the direct small-block path (see directMaxK) never pack and
+// problems on the direct small-block path (see DirectRoute) never pack and
 // are unaffected. Each gemmBlocked invocation reads the blocking once at
 // entry, so a call racing with SetBlocking uses one coherent set of sizes;
 // concurrent row-partitioned workers of the same GEMM may in principle

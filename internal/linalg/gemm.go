@@ -101,11 +101,23 @@ func GEMM(alpha complex128, a *Matrix, opA Op, b *Matrix, opB Op, beta complex12
 	gemmDispatch(alpha, a, opA, b, opB, beta, c, nil)
 }
 
+// DirectRoute reports whether an m×k by k×n NoTrans×NoTrans product runs
+// on the direct AVX2 kernel: a nonempty block product with m and k even,
+// n a multiple of 4, k ≤ directMaxK and m·n·k below the parallel
+// threshold — the shapes of the solver's block products (8, 12, 32, 48).
+// Such a product never packs, so the blocking (SetBlocking) does not
+// affect it. Always false without AVX2.
+func DirectRoute(m, n, k int) bool {
+	return haveAVX2 && m > 0 && n > 0 && k > 0 &&
+		m%2 == 0 && n%4 == 0 && k%2 == 0 && k <= directMaxK &&
+		int64(m)*int64(n)*int64(k) < parallelThreshold
+}
+
 // gemmDispatch routes one shape-checked GEMM to a kernel, by operand shape
 // alone:
-//   - NoTrans×NoTrans with k ≤ directMaxK below the parallel threshold runs
-//     on the direct AVX2 kernel (gemmDirect), which reads A, B and C in
-//     place: no packing, no packing buffers, no pool;
+//   - NoTrans×NoTrans products that DirectRoute accepts run on the direct
+//     AVX2 kernel (gemmDirect), which reads A, B and C in place: no
+//     packing, no packing buffers, no pool;
 //   - other small NoTrans problems (below packThreshold) run on the
 //     unpacked gemmStripe reference — off AVX2 that covers them all;
 //   - everything else runs on the packed blocked kernel, row-partitioned
@@ -125,7 +137,7 @@ func gemmDispatch(alpha complex128, a *Matrix, opA Op, b *Matrix, opB Op, beta c
 	}
 	work := int64(m) * int64(n) * int64(k)
 	if opA == NoTrans && opB == NoTrans {
-		if haveAVX2 && k <= directMaxK && work < parallelThreshold {
+		if DirectRoute(m, n, k) {
 			gemmDirect(alpha, a, b, beta, c)
 			return
 		}

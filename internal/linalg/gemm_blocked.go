@@ -34,17 +34,17 @@ const (
 	// gemmNC bounds the packed op(B) panel (gemmKC·gemmNC = 512 KiB).
 	gemmNC = 256
 	// packThreshold is the m·n·k operation count below which a NoTrans
-	// problem without the direct kernel (off AVX2, or k > directMaxK)
-	// runs on the unpacked gemmStripe reference instead. Transposed
+	// problem off the direct kernel (off AVX2, or a shape DirectRoute
+	// rejects) runs on the unpacked gemmStripe reference instead. Transposed
 	// operands always pack, which replaces the old per-call .T()/.H()
 	// materialization.
 	packThreshold = 512
 	// directMaxK is the deepest k the direct AVX2 kernel takes: its frame
 	// holds the alpha-folded 2-row A panel, 2·directMaxK complex128
-	// (2 KiB). With AVX2, NoTrans×NoTrans problems with k ≤ directMaxK
-	// below parallelThreshold never pack, so the blocking (Blocking,
-	// SetBlocking, plan.ChooseBlocking) only shapes the problems above
-	// that cutoff: transposed operands, deeper k, or parallel sizes.
+	// (2 KiB). With AVX2, the NoTrans×NoTrans problems DirectRoute
+	// accepts never pack, so the blocking (Blocking, SetBlocking,
+	// plan.ChooseBlocking) only shapes the others: transposed operands,
+	// deeper k, parallel sizes, or odd block shapes.
 	directMaxK = 64
 )
 

@@ -103,13 +103,13 @@ func VecAXPY(dst []complex128, s complex128, src []complex128) {
 
 // gemmDirectAVX2 is the direct small-block kernel (see gemmDirect):
 // C = alpha·A·B + (load ≠ 0 ? C : 0) on dense row-major m×k, k×n and m×n
-// operands read in place; 1 ≤ k ≤ directMaxK.
+// operands read in place, for the shapes DirectRoute accepts only.
 //
 //go:noescape
 func gemmDirectAVX2(m, n, k int, a, b, c *complex128, alpha complex128, load int)
 
-// gemmDirect computes C = alpha·A·B + beta·C for NoTrans operands with
-// 1 ≤ k ≤ directMaxK on the AVX2 direct kernel. A general beta is applied
+// gemmDirect computes C = alpha·A·B + beta·C for NoTrans operands of a
+// shape DirectRoute accepts on the AVX2 direct kernel. A general beta is applied
 // to C first with the scalar-identical vecScale; beta == 0 never reads C.
 // The result is bitwise gemmStripe's (see gemm.go).
 func gemmDirect(alpha complex128, a, b *Matrix, beta complex128, c *Matrix) {

@@ -218,14 +218,15 @@ done4:
 
 // Direct small-block GEMM: C = alpha·A·B + (load ? C : 0) with A (m×k),
 // B (k×n) and C (m×n) dense row-major and read in place — no packed
-// panels. Per row pair, alpha·A[i:i+2][0:k] is folded once into the
-// frame (gemmDirectMaxK complex per row) with the same no-FMA complex
-// multiply as packA; then every 8-, 4-, 2- and 1-wide column strip of
-// the pair runs a register tile over k ascending, one accumulator per C
-// element, each multiply-add rounded as Go's z += a*b (mul, mul,
-// addsub, add). An odd last row runs the same strips one row wide. The
-// Go wrapper applies a general beta to C first and passes load = 0 for
-// beta == 0, so C is never read then.
+// panels. The shape is the block products' only: m and k even, n a
+// multiple of 4, all nonzero (the Go dispatcher routes no other shape
+// here). Per row pair, alpha·A[i:i+2][0:k] is folded once into the frame
+// (directMaxK complex per row) with the same no-FMA complex multiply as
+// packA; then every 8-wide column strip of the pair, and a 4-wide tail,
+// runs a register tile over k ascending, one accumulator per C element,
+// each multiply-add rounded as Go's z += a*b (mul, mul, addsub, add).
+// The Go wrapper applies a general beta to C first and passes load = 0
+// for beta == 0, so C is never read then.
 //
 // Register plan: AX A row, R8 = k·16 (A row stride and the offset of
 // the second folded row), DX C row, R9 = n·16 (B and C row stride),
@@ -235,19 +236,12 @@ done4:
 // (alpha during the fold), Y12/Y13 the B vector and its pair swap,
 // Y14/Y15 products.
 
-// CMADD adds bcast(ar)·Y12 addsub bcast(ai)·Y13 into acc (ymm).
+// CMADD adds bcast(ar)·Y12 addsub bcast(ai)·Y13 into acc.
 #define CMADD(ar, ai, acc) \
 	VMULPD    Y12, ar, Y14; \
 	VMULPD    Y13, ai, Y15; \
 	VADDSUBPD Y15, Y14, Y14; \
 	VADDPD    Y14, acc, acc
-
-// CMADDX is CMADD on the low complex only (xmm).
-#define CMADDX(ar, ai, acc) \
-	VMULPD    X12, ar, X14; \
-	VMULPD    X13, ai, X15; \
-	VADDSUBPD X15, X14, X14; \
-	VADDPD    X14, acc, acc
 
 // LOADB loads B[p][j+off/16 : +2] into Y12 and its pair swap into Y13.
 #define LOADB(off) \
@@ -268,12 +262,6 @@ done4:
 	VPERMILPD $0x5, x, sw; \
 	VMULPD    x, Y8, p1; \
 	VMULPD    sw, Y9, p2; \
-	VADDSUBPD p2, p1, p1
-
-#define FOLDX(x, sw, p1, p2) \
-	VPERMILPD $0x1, x, sw; \
-	VMULPD    x, X8, p1; \
-	VMULPD    sw, X9, p2; \
 	VADDSUBPD p2, p1, p1
 
 // KSTEP advances the k cursors: next folded A element, next B row.
@@ -301,17 +289,13 @@ TEXT ·gemmDirectAVX2(SB), 0, $2048-72
 	MOVQ c+40(FP), DX
 
 pair:
-	CMPQ R13, $2
-	JLT  single
-
-	// Fold alpha·A rows i and i+1 into the frame.
+	// Fold alpha·A rows i and i+1 into the frame, two complex per step.
 	VBROADCASTSD alpha_real+48(FP), Y8
 	VBROADCASTSD alpha_imag+56(FP), Y9
 	MOVQ AX, SI
 	LEAQ 0(SP), DI
 	MOVQ R10, CX
 	SHRQ $1, CX
-	JZ   pfoldodd
 
 pfold:
 	VMOVUPD (SI), Y0
@@ -325,18 +309,6 @@ pfold:
 	DECQ    CX
 	JNZ     pfold
 
-pfoldodd:
-	MOVQ  R10, CX
-	TESTQ $1, CX
-	JZ    pstrips
-	VMOVUPD (SI), X0
-	VMOVUPD (SI)(R8*1), X1
-	FOLDX(X0, X2, X3, X4)
-	FOLDX(X1, X5, X6, X7)
-	VMOVUPD X3, (DI)
-	VMOVUPD X6, (DI)(R8*1)
-
-pstrips:
 	MOVQ b+32(FP), R14
 	MOVQ DX, R12
 	MOVQ n+8(FP), R11
@@ -400,8 +372,8 @@ p8k:
 	JMP     p8
 
 p4:
-	TESTQ $4, R11
-	JZ    p2
+	TESTQ R11, R11
+	JZ    pnext
 	CMPQ  load+64(FP), $0
 	JEQ   p4zero
 	VMOVUPD (R12), Y0
@@ -434,232 +406,12 @@ p4k:
 	VMOVUPD Y1, 32(R12)
 	VMOVUPD Y4, (R12)(R9*1)
 	VMOVUPD Y5, 32(R12)(R9*1)
-	ADDQ    $64, R14
-	ADDQ    $64, R12
-
-p2:
-	TESTQ $2, R11
-	JZ    p1
-	CMPQ  load+64(FP), $0
-	JEQ   p2zero
-	VMOVUPD (R12), Y0
-	VMOVUPD (R12)(R9*1), Y4
-	JMP     p2go
-
-p2zero:
-	VXORPD Y0, Y0, Y0
-	VXORPD Y4, Y4, Y4
-
-p2go:
-	STRIP
-
-p2k:
-	BCAST2
-	LOADB(0)
-	CMADD(Y8, Y9, Y0)
-	CMADD(Y10, Y11, Y4)
-	KSTEP
-	JNZ p2k
-
-	VMOVUPD Y0, (R12)
-	VMOVUPD Y4, (R12)(R9*1)
-	ADDQ    $32, R14
-	ADDQ    $32, R12
-
-p1:
-	TESTQ $1, R11
-	JZ    pnext
-	CMPQ  load+64(FP), $0
-	JEQ   p1zero
-	VMOVUPD (R12), X0
-	VMOVUPD (R12)(R9*1), X4
-	JMP     p1go
-
-p1zero:
-	VXORPD X0, X0, X0
-	VXORPD X4, X4, X4
-
-p1go:
-	STRIP
-
-p1k:
-	BCAST2
-	VMOVUPD   (DI), X12
-	VPERMILPD $0x1, X12, X13
-	CMADDX(X8, X9, X0)
-	CMADDX(X10, X11, X4)
-	KSTEP
-	JNZ p1k
-
-	VMOVUPD X0, (R12)
-	VMOVUPD X4, (R12)(R9*1)
 
 pnext:
 	LEAQ (AX)(R8*2), AX
 	LEAQ (DX)(R9*2), DX
 	SUBQ $2, R13
-	JMP  pair
+	JNZ  pair
 
-single:
-	TESTQ R13, R13
-	JZ    done
-
-	// Fold alpha·A row i (the odd last row) into the frame.
-	VBROADCASTSD alpha_real+48(FP), Y8
-	VBROADCASTSD alpha_imag+56(FP), Y9
-	MOVQ AX, SI
-	LEAQ 0(SP), DI
-	MOVQ R10, CX
-	SHRQ $1, CX
-	JZ   sfoldodd
-
-sfold:
-	VMOVUPD (SI), Y0
-	FOLD(Y0, Y2, Y3, Y4)
-	VMOVUPD Y3, (DI)
-	ADDQ    $32, SI
-	ADDQ    $32, DI
-	DECQ    CX
-	JNZ     sfold
-
-sfoldodd:
-	MOVQ  R10, CX
-	TESTQ $1, CX
-	JZ    sstrips
-	VMOVUPD (SI), X0
-	FOLDX(X0, X2, X3, X4)
-	VMOVUPD X3, (DI)
-
-sstrips:
-	MOVQ b+32(FP), R14
-	MOVQ DX, R12
-	MOVQ n+8(FP), R11
-
-s8:
-	CMPQ R11, $8
-	JLT  s4
-	CMPQ load+64(FP), $0
-	JEQ  s8zero
-	VMOVUPD (R12), Y0
-	VMOVUPD 32(R12), Y1
-	VMOVUPD 64(R12), Y2
-	VMOVUPD 96(R12), Y3
-	JMP     s8go
-
-s8zero:
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-
-s8go:
-	STRIP
-
-s8k:
-	VBROADCASTSD (SI), Y8
-	VBROADCASTSD 8(SI), Y9
-	LOADB(0)
-	CMADD(Y8, Y9, Y0)
-	LOADB(32)
-	CMADD(Y8, Y9, Y1)
-	LOADB(64)
-	CMADD(Y8, Y9, Y2)
-	LOADB(96)
-	CMADD(Y8, Y9, Y3)
-	KSTEP
-	JNZ s8k
-
-	VMOVUPD Y0, (R12)
-	VMOVUPD Y1, 32(R12)
-	VMOVUPD Y2, 64(R12)
-	VMOVUPD Y3, 96(R12)
-	ADDQ    $128, R14
-	ADDQ    $128, R12
-	SUBQ    $8, R11
-	JMP     s8
-
-s4:
-	TESTQ $4, R11
-	JZ    s2
-	CMPQ  load+64(FP), $0
-	JEQ   s4zero
-	VMOVUPD (R12), Y0
-	VMOVUPD 32(R12), Y1
-	JMP     s4go
-
-s4zero:
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-
-s4go:
-	STRIP
-
-s4k:
-	VBROADCASTSD (SI), Y8
-	VBROADCASTSD 8(SI), Y9
-	LOADB(0)
-	CMADD(Y8, Y9, Y0)
-	LOADB(32)
-	CMADD(Y8, Y9, Y1)
-	KSTEP
-	JNZ s4k
-
-	VMOVUPD Y0, (R12)
-	VMOVUPD Y1, 32(R12)
-	ADDQ    $64, R14
-	ADDQ    $64, R12
-
-s2:
-	TESTQ $2, R11
-	JZ    s1
-	CMPQ  load+64(FP), $0
-	JEQ   s2zero
-	VMOVUPD (R12), Y0
-	JMP     s2go
-
-s2zero:
-	VXORPD Y0, Y0, Y0
-
-s2go:
-	STRIP
-
-s2k:
-	VBROADCASTSD (SI), Y8
-	VBROADCASTSD 8(SI), Y9
-	LOADB(0)
-	CMADD(Y8, Y9, Y0)
-	KSTEP
-	JNZ s2k
-
-	VMOVUPD Y0, (R12)
-	ADDQ    $32, R14
-	ADDQ    $32, R12
-
-s1:
-	TESTQ $1, R11
-	JZ    done
-	CMPQ  load+64(FP), $0
-	JEQ   s1zero
-	VMOVUPD (R12), X0
-	JMP     s1go
-
-s1zero:
-	VXORPD X0, X0, X0
-
-s1go:
-	STRIP
-
-s1k:
-	VBROADCASTSD (SI), Y8
-	VBROADCASTSD 8(SI), Y9
-	VMOVUPD   (DI), X12
-	VPERMILPD $0x1, X12, X13
-	CMADDX(X8, X9, X0)
-	KSTEP
-	JNZ s1k
-
-	VMOVUPD X0, (R12)
-
-done:
 	VZEROUPPER
 	RET

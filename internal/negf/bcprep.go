@@ -17,8 +17,9 @@ import (
 // cached result is bitwise the same. Only meaningful in bc.CacheBC mode;
 // with bc.NoCache the result would be recomputed anyway.
 //
-// With a tracer the call is one "bc/el" span on its own trace lane, the
-// name and point of the solve's boundary span: a point's first bc span is
+// With a tracer the call is one "bc/el" span on the trace lane of a
+// checked-out solve scratch (none is checked out untraced), the name and
+// point of the solve's boundary span: a point's first bc span is
 // then the decimation itself (the cache miss), and the solve's lookups
 // that follow are the warm hits — the cold/warm split plan.Calibrate
 // reads from the trace.
@@ -27,8 +28,12 @@ func (s *PointSolver) PrepareElectronBC(h *blocktri.Matrix, ik, ie int) error {
 	z := complex(p.Energy(ie), p.Eta)
 	nb := p.Bnum
 	bs := p.ElBlockSize()
-	sc := s.getScratch()
-	defer s.putScratch(sc)
+	track := 0
+	if s.Trace != nil {
+		sc := s.getScratch()
+		defer s.putScratch(sc)
+		track = sc.track
+	}
 	tBC := s.Trace.Begin()
 	if _, err := s.BC.Get(0, ik, ie, func() (*bc.Result, error) {
 		return bc.SurfaceGF(edgeBlock(h.Diag[0], z, bs), negated(h.Lower[0], bs), 0, 0)
@@ -40,7 +45,7 @@ func (s *PointSolver) PrepareElectronBC(h *blocktri.Matrix, ik, ie int) error {
 	}); err != nil {
 		return fmt.Errorf("right boundary: %w", err)
 	}
-	s.Trace.End(s.TraceRank, sc.track, "bc", "bc/el", ik, ie, tBC)
+	s.Trace.End(s.TraceRank, track, "bc", "bc/el", ik, ie, tBC)
 	return nil
 }
 
@@ -53,8 +58,12 @@ func (s *PointSolver) PreparePhononBC(phi *blocktri.Matrix, iq, m int) error {
 	z2 := z * z
 	nb := p.Bnum
 	bs := p.PhBlockSize()
-	sc := s.getScratch()
-	defer s.putScratch(sc)
+	track := 0
+	if s.Trace != nil {
+		sc := s.getScratch()
+		defer s.putScratch(sc)
+		track = sc.track
+	}
 	tBC := s.Trace.Begin()
 	if _, err := s.BC.Get(2, iq, m, func() (*bc.Result, error) {
 		return bc.SurfaceGF(edgeBlock(phi.Diag[0], z2, bs), negated(phi.Lower[0], bs), 0, 0)
@@ -66,7 +75,7 @@ func (s *PointSolver) PreparePhononBC(phi *blocktri.Matrix, iq, m int) error {
 	}); err != nil {
 		return fmt.Errorf("right phonon boundary: %w", err)
 	}
-	s.Trace.End(s.TraceRank, sc.track, "bc", "bc/ph", iq, m, tBC)
+	s.Trace.End(s.TraceRank, track, "bc", "bc/ph", iq, m, tBC)
 	return nil
 }
 

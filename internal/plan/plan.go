@@ -185,9 +185,9 @@ func chooseWith(dev *device.Device, o Options, cal Calibration) (Plan, error) {
 // diagonal block, the shape every RGF step multiplies) under each
 // candidate blocking and returns the fastest, preferring the
 // compiled-in default within a 3% band — measured noise should not
-// evict a hand-tuned setting. With AVX2, blocks of up to 64 rows multiply
-// on linalg's direct kernel, which takes no blocking: the candidates then
-// differ only by noise and the band keeps the default.
+// evict a hand-tuned setting. When that product runs on linalg's direct
+// kernel (linalg.DirectRoute), which takes no blocking, the candidates
+// are only validated and the default is returned untimed.
 func ChooseBlocking(dev *device.Device, cands []linalg.BlockSizes) (linalg.BlockSizes, error) {
 	n := 0
 	for _, s := range dev.Hamiltonian(0).Sizes {
@@ -198,18 +198,24 @@ func ChooseBlocking(dev *device.Device, cands []linalg.BlockSizes) (linalg.Block
 	if n < 8 {
 		n = 8
 	}
+	def := linalg.DefaultBlocking()
+	defer linalg.ResetBlocking()
+	for _, bl := range cands {
+		if err := linalg.SetBlocking(bl); err != nil {
+			return def, fmt.Errorf("plan: blocking candidate: %w", err)
+		}
+	}
+	if linalg.DirectRoute(n, n, n) {
+		return def, nil
+	}
 	a, b, c := linalg.New(n, n), linalg.New(n, n), linalg.New(n, n)
 	for i := range a.Data {
 		a.Data[i] = complex(float64(i%7)-3, float64(i%5)-2)
 		b.Data[i] = complex(float64(i%3)-1, float64(i%11)-5)
 	}
-	def := linalg.DefaultBlocking()
-	defer linalg.ResetBlocking()
 	bestBl, bestNs, defNs := def, 0.0, 0.0
 	for _, bl := range cands {
-		if err := linalg.SetBlocking(bl); err != nil {
-			return def, fmt.Errorf("plan: blocking candidate: %w", err)
-		}
+		_ = linalg.SetBlocking(bl) // validated above
 		ns := 0.0
 		for rep := 0; rep < 3; rep++ {
 			t0 := time.Now()

@@ -167,3 +167,26 @@ func TestChooseBlocking(t *testing.T) {
 		t.Error("inadmissible candidate must surface an error")
 	}
 }
+
+// TestChooseBlockingDirectRouteKeepsDefault: on a device whose blocks
+// multiply on the direct kernel the blocking has nothing to tune, so
+// ChooseBlocking returns the default even when it is not among the
+// candidates, rather than the winner of a noise-level timing.
+func TestChooseBlockingDirectRouteKeepsDefault(t *testing.T) {
+	dev := testDevice(t)
+	n := 0
+	for _, s := range dev.Hamiltonian(0).Sizes {
+		n = max(n, s)
+	}
+	if !linalg.DirectRoute(n, n, n) {
+		t.Skipf("%d×%d blocks do not take the direct kernel on this CPU", n, n)
+	}
+	defer linalg.ResetBlocking()
+	bl, err := ChooseBlocking(dev, []linalg.BlockSizes{{MC: 2, KC: 1, NC: 8}, {MC: 64, KC: 64, NC: 128}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bl != linalg.DefaultBlocking() {
+		t.Errorf("blocking %+v chosen for %d×%d direct-route blocks, want the default %+v", bl, n, n, linalg.DefaultBlocking())
+	}
+}
